@@ -8,29 +8,21 @@ steps never increase it, every binary branch decreases it by fixed amounts
 in both children, and the search rejects outright once it reaches zero, so
 the number of explored leaves is bounded by 2^ceil(m).
 
-The engine maintains the protected side's tree structure in a union-find
-(trees only ever merge), the set of nice vertices, and a worklist of v1
-vertices whose reduction class may have changed, so one search path costs
-near-linear time instead of a rescan per step.
+Each search node is a `ReductionState`, whose drain applies the safe rules
+(steps 4-6); this module selects the branches (steps 7-9).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
-from .graph import (DisjointSet, VertexSet, bypass_degree2, components,
-                    is_forest)
-from .reductions import DisjointInstance
+from .graph import VertexSet, components, is_forest
+from .reductions import (DisjointInstance, MeasureAuditError, ReductionState,
+                         count_nice)
 from .regular3 import solve_regular3
 
-_REMOVE, _FORCE, _BYPASS = 4, 5, 6
 # Required twice-measure drop per child at each branching step.
 _BRANCH_DROPS = {7: (2, 2), 8: (3, 2), 9: (3, 3)}
-
-
-class MeasureAuditError(AssertionError):
-    """A transition violated its measure-decrement obligation."""
 
 
 @dataclass(frozen=True)
@@ -57,224 +49,21 @@ class SearchStats:
     forced_count: int = 0
 
 
-def count_nice(inst: DisjointInstance) -> int:
-    """Number of v1 vertices of degree 3 whose neighbors are all in v2."""
-    g = inst.g
-    total = 0
-    for v in inst.v1:
-        if g.degree(v) == 3 and all(o in inst.v2 for o in g.neighbors(v)):
-            total += 1
-    return total
-
-
 def measure(inst: DisjointInstance) -> Measure:
     l = components(inst.g, inst.v2).count
     p = count_nice(inst)
     return Measure(2 * inst.k + l - 2 * p, inst.k, l, p)
 
 
-class _State:
-    """One search node: the mutable instance plus incremental bookkeeping."""
-
-    __slots__ = ("g", "v1", "v2", "k", "dsu", "l", "nice", "root_adj",
-                 "picks", "heap")
-
-    @classmethod
-    def from_instance(cls, inst: DisjointInstance) -> "_State":
-        s = cls.__new__(cls)
-        s.g = inst.g.copy()
-        s.v1 = set(inst.v1)
-        s.v2 = set(inst.v2)
-        s.k = inst.k
-        s.dsu = DisjointSet(s.v2)
-        s.l = len(s.v2)
-        for eid in s.g.edges_within(s.v2):
-            u, v = s.g.endpoints(eid)
-            if u == v or not s.dsu.union(u, v):
-                raise ValueError("protected side does not induce a forest")
-            s.l -= 1
-        s.root_adj = {}
-        for eid, (u, v) in s.g.edge_items():
-            if u in s.v1 and v in s.v2:
-                s.root_adj.setdefault(s.dsu.find(v), set()).add(u)
-            elif v in s.v1 and u in s.v2:
-                s.root_adj.setdefault(s.dsu.find(u), set()).add(v)
-        s.nice = set()
-        s.picks = set()
-        s.heap = []
-        for v in s.v1:
-            s.push(v)
-        return s
-
-    def copy(self) -> "_State":
-        s = _State.__new__(_State)
-        s.g = self.g.copy()
-        s.v1 = set(self.v1)
-        s.v2 = set(self.v2)
-        s.k = self.k
-        s.dsu = self.dsu.copy()
-        s.l = self.l
-        s.nice = set(self.nice)
-        s.root_adj = {r: set(a) for r, a in self.root_adj.items()}
-        s.picks = set(self.picks)
-        s.heap = list(self.heap)
-        return s
-
-    # -- bookkeeping -----------------------------------------------------
-
-    def twice_m(self) -> int:
-        return 2 * self.k + self.l - 2 * len(self.nice)
-
-    def _update_nice(self, v: int) -> None:
-        if (v in self.v1 and self.g.degree(v) == 3
-                and all(o in self.v2 for o in self.g.neighbors(v))):
-            self.nice.add(v)
-        else:
-            self.nice.discard(v)
-
-    def classify(self, v: int) -> int | None:
-        deg = self.g.degree(v)
-        if deg <= 1:
-            return _REMOVE
-        seen: set[int] = set()
-        for _, other in self.g.incident(v):
-            if other in self.v2:
-                r = self.dsu.find(other)
-                if r in seen:
-                    return _FORCE
-                seen.add(r)
-        if deg == 2:
-            return _BYPASS
-        return None
-
-    def push(self, v: int) -> None:
-        self._update_nice(v)
-        cls = self.classify(v)
-        if cls is not None:
-            heapq.heappush(self.heap, (cls, v))
-
-    def _union_trees(self, a: int, b: int) -> None:
-        ra, rb = self.dsu.find(a), self.dsu.find(b)
-        if ra == rb:
-            raise AssertionError("merge would close a cycle in g[v2]")
-        self.dsu.union(ra, rb)
-        new_root = self.dsu.find(ra)
-        old_root = rb if new_root == ra else ra
-        self.l -= 1
-        old_adj = self.root_adj.pop(old_root, set())
-        new_adj = self.root_adj.setdefault(new_root, set())
-        if len(old_adj) > len(new_adj):
-            old_adj, new_adj = new_adj, old_adj
-            self.root_adj[new_root] = new_adj
-        for x in old_adj:
-            if x in self.v1:  # stale members drop out lazily
-                new_adj.add(x)
-                self.push(x)
-
-    # -- transitions -------------------------------------------------------
-
-    def remove_v1(self, v: int, forced: bool) -> None:
-        incident = [(e, o) for e, o in self.g.incident(v)]
-        self.g.remove_vertex(v)
-        self.v1.discard(v)
-        self.nice.discard(v)
-        if forced:
-            self.k -= 1
-            self.picks.add(v)
-        for _, other in incident:
-            if other in self.v1:
-                self.push(other)
-
-    def move_to_v2(self, v: int) -> None:
-        self.v1.discard(v)
-        self.nice.discard(v)
-        self.v2.add(v)
-        self.dsu.add(v)
-        self.l += 1
-        self.root_adj.setdefault(v, set())
-        for _, other in list(self.g.incident(v)):
-            if other in self.v2 and other != v:
-                self._union_trees(v, other)
-            elif other in self.v1:
-                self.root_adj.setdefault(self.dsu.find(v), set()).add(other)
-                self.push(other)
-
-    def bypass(self, v: int) -> None:
-        incident = list(self.g.incident(v))
-        (_, a), (_, b) = incident
-        if a == b:
-            raise AssertionError("parallel pair must be forced, not bypassed")
-        bypass_degree2(self.g, v)
-        self.v1.discard(v)
-        self.nice.discard(v)
-        if a in self.v2 and b in self.v2:
-            self._union_trees(a, b)
-        elif a in self.v2:
-            self.root_adj.setdefault(self.dsu.find(a), set()).add(b)
-        elif b in self.v2:
-            self.root_adj.setdefault(self.dsu.find(b), set()).add(a)
-        if a in self.v1:
-            self.push(a)
-        if b in self.v1:
-            self.push(b)
-
-    # -- audit -------------------------------------------------------------
-
-    def verify(self) -> None:
-        """Recompute the maintained quantities from scratch (audit mode)."""
-        if not is_forest(self.g, self.v1):
-            raise MeasureAuditError("g[v1] lost the forest property")
-        if not is_forest(self.g, self.v2):
-            raise MeasureAuditError("g[v2] lost the forest property")
-        l = components(self.g, self.v2).count
-        if l != self.l:
-            raise MeasureAuditError(f"tree count drifted: {self.l} != {l}")
-        inst = DisjointInstance(self.g, self.v1, self.v2, max(self.k, -1),
-                                validate=False)
-        p = count_nice(inst)
-        if p != len(self.nice):
-            raise MeasureAuditError(f"nice count drifted: {len(self.nice)} != {p}")
-
-
-def _drain(state: _State, stats: SearchStats, audit: bool) -> bool:
-    """Apply steps 4-6 until quiescent; False once the budget is overdrawn."""
-    heap = state.heap
-    while heap:
-        cls, v = heapq.heappop(heap)
-        if v not in state.v1 or not state.g.has_vertex(v):
-            continue
-        actual = state.classify(v)
-        if actual is None:
-            state._update_nice(v)
-            continue
-        if actual != cls:
-            heapq.heappush(heap, (actual, v))
-            continue
-        before = state.twice_m() if audit else 0
-        if cls == _REMOVE:
-            state.remove_v1(v, forced=False)
-        elif cls == _FORCE:
-            state.remove_v1(v, forced=True)
-            stats.forced_count += 1
-        else:
-            state.bypass(v)
-        if audit and state.twice_m() > before:
-            raise MeasureAuditError(
-                f"step {cls} increased the measure at vertex {v}")
-        if state.k < 0:
-            return False
-    return True
-
-
-def _v1_degree(state: _State, v: int) -> int:
+def _v1_degree(state: ReductionState, v: int) -> int:
     return sum(1 for o in state.g.neighbors(v) if o in state.v1)
 
 
-def _v2_slots(state: _State, v: int) -> int:
+def _v2_slots(state: ReductionState, v: int) -> int:
     return sum(1 for o in state.g.neighbors(v) if o in state.v2)
 
 
-def _find_step7(state: _State) -> int | None:
+def _find_step7(state: ReductionState) -> int | None:
     for w in sorted(state.v1):
         if w in state.nice or _v1_degree(state, w) > 1:
             continue
@@ -283,7 +72,7 @@ def _find_step7(state: _State) -> int | None:
     return None
 
 
-def _find_step8(state: _State) -> tuple[int, int] | None:
+def _find_step8(state: ReductionState) -> tuple[int, int] | None:
     for w in sorted(state.v1):
         nbrs = [o for o in state.g.neighbors(w) if o in state.v1]
         if len(nbrs) != 1:
@@ -294,7 +83,7 @@ def _find_step8(state: _State) -> tuple[int, int] | None:
     return None
 
 
-def _find_step9(state: _State) -> tuple[int, int]:
+def _find_step9(state: ReductionState) -> tuple[int, int]:
     adj: dict[int, list[int]] = {v: [] for v in state.v1}
     for v in state.v1:
         adj[v] = [o for o in state.g.neighbors(v) if o in state.v1]
@@ -333,10 +122,13 @@ def _find_step9(state: _State) -> tuple[int, int]:
     return parent[w1], w1
 
 
-def _search(state: _State, stats: SearchStats, depth: int, audit: bool,
+def _search(state: ReductionState, stats: SearchStats, depth: int, audit: bool,
             seed: int) -> VertexSet | None:
     while True:
-        if state.k < 0 or not _drain(state, stats, audit):
+        picked = len(state.picks)
+        drained = state.drain(audit)
+        stats.forced_count += len(state.picks) - picked
+        if not drained:
             stats.leaves += 1
             return None
         if audit:
@@ -421,5 +213,5 @@ def feedback(inst: DisjointInstance, stats: SearchStats | None = None, *,
     if stats is None:
         stats = SearchStats()
     inst.check()
-    state = _State.from_instance(inst)
+    state = ReductionState.from_instance(inst)
     return _search(state, stats, 0, audit, seed)

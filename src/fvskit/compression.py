@@ -9,22 +9,11 @@ and handing the rest to the disjoint branching solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .branching import SearchStats, feedback
 from .graph import Graph, VertexSet, is_forest, is_fvs
 from .reductions import DisjointInstance
-
-
-@dataclass
-class CompressionState:
-    """Progress of the prefix loop: the fixed vertex order, how many
-    vertices are in play, and the current FVS of that prefix."""
-
-    order: list[int]
-    prefix_size: int
-    fvs: VertexSet = field(default_factory=set)
 
 
 def fvs_reduction(g: Graph, f_big: VertexSet, k: int,
@@ -65,27 +54,24 @@ def solve_fvs_decision(g: Graph, k: int, stats: SearchStats | None = None, *,
     if k < 0:
         raise ValueError("k must be nonnegative")
     order = sorted(g.vertices)
-    state = CompressionState(order, min(k + 1, len(order)))
-    state.fvs = set(order[:state.prefix_size])
-    prefix = g.induced_subgraph(order[:state.prefix_size])
-    if len(state.fvs) == k + 1:
-        compressed = fvs_reduction(prefix, state.fvs, k, stats,
-                                   audit=audit, seed=seed)
-        if compressed is None:
+    size = min(k + 1, len(order))
+    fvs = set(order[:size])
+    prefix = g.induced_subgraph(order[:size])
+    if len(fvs) == k + 1:
+        fvs = fvs_reduction(prefix, fvs, k, stats, audit=audit, seed=seed)
+        if fvs is None:
             return None
-        state.fvs = compressed
-    for v in order[state.prefix_size:]:
-        state.prefix_size += 1
-        prefix = g.induced_subgraph(order[:state.prefix_size])
-        if not is_fvs(prefix, state.fvs):
-            state.fvs = state.fvs | {v}
-        if len(state.fvs) == k + 1:
-            compressed = fvs_reduction(prefix, state.fvs, k, stats,
-                                       audit=audit, seed=seed)
-            if compressed is None:
+    for v in order[size:]:
+        size += 1
+        prefix = g.induced_subgraph(order[:size])
+        if not is_fvs(prefix, fvs):
+            fvs = fvs | {v}
+        if len(fvs) == k + 1:
+            fvs = fvs_reduction(prefix, fvs, k, stats, audit=audit,
+                                seed=seed)
+            if fvs is None:
                 return None
-            state.fvs = compressed
-    return state.fvs
+    return fvs
 
 
 def solve_fvs_min(g: Graph, stats: SearchStats | None = None, *,

@@ -263,6 +263,19 @@ def betti(g: Graph) -> int:
     return g.edge_count - g.vertex_count + components(g, set(g.vertices)).count
 
 
+def connected_without(g: Graph, removed: set[int]) -> bool:
+    """True iff g minus the given edge ids is connected (vertex-wise)."""
+    verts = list(g.vertices)
+    if not verts:
+        return True
+    dsu = DisjointSet(verts)
+    parts = len(verts)
+    for eid, (u, v) in g.edge_items():
+        if eid not in removed and u != v and dsu.union(u, v):
+            parts -= 1
+    return parts == 1
+
+
 def spanning_tree_containing(g: Graph, s: VertexSet) -> set[int]:
     """Edge set of a spanning tree of g that includes every edge of g[s].
 

@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import DisjointSet, Graph, VertexSet, is_fvs
+from .graph import DisjointSet, Graph, VertexSet, connected_without, is_fvs
 from .reductions import DisjointInstance
 
 
@@ -71,19 +71,6 @@ def brute_disjoint(inst: DisjointInstance,
     return None
 
 
-def _connected_without(g: Graph, removed: set[int]) -> bool:
-    """True iff g minus the given edge ids is connected (vertex-wise)."""
-    verts = list(g.vertices)
-    if not verts:
-        return True
-    dsu = DisjointSet(verts)
-    parts = len(verts)
-    for eid, (u, v) in g.edge_items():
-        if eid not in removed and u != v and dsu.union(u, v):
-            parts -= 1
-    return parts == 1
-
-
 def brute_parity(ps, budget: OracleBudget | None = None) -> list[tuple[int, int]]:
     """Maximum set of segment-edge pairs whose removal keeps g2 connected.
 
@@ -93,13 +80,13 @@ def brute_parity(ps, budget: OracleBudget | None = None) -> list[tuple[int, int]
     pairs = list(ps.pairing)
     if len(pairs) > budget.p_max:
         raise OracleBudgetExceeded(f"{len(pairs)} pairs > p_max={budget.p_max}")
-    if not _connected_without(ps.g2, set()):
+    if not connected_without(ps.g2, set()):
         raise ValueError("g2 is disconnected")
     deadline = _Deadline(budget.max_seconds)
     for size in range(len(pairs), -1, -1):
         for combo in combinations(pairs, size):
             removed = {e for pair in combo for e in pair}
-            if _connected_without(ps.g2, removed):
+            if connected_without(ps.g2, removed):
                 return list(combo)
         deadline.check()
     raise AssertionError("unreachable: the empty pair set is always feasible")

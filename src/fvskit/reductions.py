@@ -1,23 +1,32 @@
-"""Preprocessing and safety rules for disjoint-FVS instances.
+"""Disjoint-FVS instances and the one engine that applies the safe rules.
 
 An instance partitions the vertices into two forest-inducing sides: the
 solution may only use vertices from side one, side two is protected.  The
-rules here delete vertices that are forced into every solution, peel away
-vertices that can never lie on a cycle, and reject instances whose side-one
-part is provably too large for the remaining budget.
+engine, `ReductionState`, drains three rules on side one to quiescence
+(steps 4-6 of the branch-and-search): delete a vertex of degree <= 1, force
+a vertex with two edges into one protected tree, bypass a vertex of degree
+2.  The branching search uses it as its node state; the degree-3 leaf uses
+it, plus the protected-side peel, to reduce its input before matroid
+parity.
+
+The engine keeps the protected side's tree structure in a union-find
+(trees only ever merge), the set of nice vertices, and a worklist of v1
+vertices whose rule class may have changed, so one search path costs
+near-linear time instead of a rescan per step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+import heapq
 
-from .graph import Graph, VertexSet, bypass_degree2, components, is_forest
+from .graph import (DisjointSet, Graph, VertexSet, bypass_degree2, components,
+                    is_forest)
+
+_REMOVE, _FORCE, _BYPASS = 4, 5, 6
 
 
-class Verdict(Enum):
-    CONTINUE = "continue"
-    NO_SOLUTION = "no-solution"
+class MeasureAuditError(AssertionError):
+    """A transition violated its measure-decrement obligation."""
 
 
 class DisjointInstance:
@@ -58,164 +67,229 @@ class DisjointInstance:
                 f"m={self.g.edge_count}, |v1|={len(self.v1)}, k={self.k})")
 
 
-@dataclass
-class ReductionOutcome:
-    """Result of a reduction pass: the (mutated) instance, the vertices
-    committed to the objective set, and whether to keep going."""
-
-    instance: DisjointInstance
-    forced: VertexSet = field(default_factory=set)
-    verdict: Verdict = Verdict.CONTINUE
-
-
-def _force(inst: DisjointInstance, v: int, forced: VertexSet) -> None:
-    inst.g.remove_vertex(v)
-    inst.v1.discard(v)
-    forced.add(v)
-    inst.k -= 1
-
-
-def preprocess(inst: DisjointInstance) -> ReductionOutcome:
-    """Resolve self-loops and parallel edge pairs.
-
-    A self-loop forces its vertex when it is in v1 and is unbreakable when
-    it is in v2.  A parallel pair forces its v1 endpoint; a pair lying
-    entirely inside v2 is unbreakable.  Repeats until none remain or the
-    budget is exhausted.
-    """
-    forced: VertexSet = set()
-    while True:
-        if inst.k < 0:
-            return ReductionOutcome(inst, forced, Verdict.NO_SOLUTION)
-        acted = False
-        for eid, (u, v) in sorted(inst.g.edge_items()):
-            if u == v:
-                if u in inst.v2:
-                    return ReductionOutcome(inst, forced, Verdict.NO_SOLUTION)
-                _force(inst, u, forced)
-                acted = True
-                break
-        if acted:
-            continue
-        seen: dict[tuple[int, int], int] = {}
-        pair: tuple[int, int] | None = None
-        for eid, (u, v) in sorted(inst.g.edge_items()):
-            key = (u, v) if u <= v else (v, u)
-            if key in seen:
-                pair = key
-                break
-            seen[key] = eid
-        if pair is None:
-            return ReductionOutcome(inst, forced, Verdict.CONTINUE)
-        u, v = pair
-        in_v1 = [x for x in pair if x in inst.v1]
-        if not in_v1:
-            return ReductionOutcome(inst, forced, Verdict.NO_SOLUTION)
-        if len(in_v1) == 2:
-            raise ValueError("parallel pair inside v1; g[v1] is not a forest")
-        _force(inst, in_v1[0], forced)
-
-
-def rule1(inst: DisjointInstance) -> DisjointInstance:
-    """Cascade away all vertices of degree <= 1 (either side)."""
+def count_nice(inst: DisjointInstance) -> int:
+    """Number of v1 vertices of degree 3 whose neighbors are all in v2."""
     g = inst.g
-    queue = [v for v in sorted(g.vertices) if g.degree(v) <= 1]
-    while queue:
-        nxt: list[int] = []
-        for v in queue:
-            if not g.has_vertex(v) or g.degree(v) > 1:
+    total = 0
+    for v in inst.v1:
+        if g.degree(v) == 3 and all(o in inst.v2 for o in g.neighbors(v)):
+            total += 1
+    return total
+
+
+class ReductionState:
+    """A mutable copy of an instance plus incremental bookkeeping.
+
+    `picks` holds the vertices forced into the solution so far; `k` is the
+    budget left after them.  `twice_m` is the branching potential
+    2k + l - 2p (budget, protected-tree count, nice-vertex count).
+    """
+
+    __slots__ = ("g", "v1", "v2", "k", "dsu", "l", "nice", "root_adj",
+                 "picks", "heap")
+
+    @classmethod
+    def from_instance(cls, inst: DisjointInstance) -> "ReductionState":
+        s = cls.__new__(cls)
+        s.g = inst.g.copy()
+        s.v1 = set(inst.v1)
+        s.v2 = set(inst.v2)
+        s.k = inst.k
+        s.dsu = DisjointSet(s.v2)
+        s.l = len(s.v2)
+        for eid in s.g.edges_within(s.v2):
+            u, v = s.g.endpoints(eid)
+            if u == v or not s.dsu.union(u, v):
+                raise ValueError("protected side does not induce a forest")
+            s.l -= 1
+        s.root_adj = {}
+        for eid, (u, v) in s.g.edge_items():
+            if u in s.v1 and v in s.v2:
+                s.root_adj.setdefault(s.dsu.find(v), set()).add(u)
+            elif v in s.v1 and u in s.v2:
+                s.root_adj.setdefault(s.dsu.find(u), set()).add(v)
+        s.nice = set()
+        s.picks = set()
+        s.heap = []
+        for v in s.v1:
+            s.push(v)
+        return s
+
+    def copy(self) -> "ReductionState":
+        s = ReductionState.__new__(ReductionState)
+        s.g = self.g.copy()
+        s.v1 = set(self.v1)
+        s.v2 = set(self.v2)
+        s.k = self.k
+        s.dsu = self.dsu.copy()
+        s.l = self.l
+        s.nice = set(self.nice)
+        s.root_adj = {r: set(a) for r, a in self.root_adj.items()}
+        s.picks = set(self.picks)
+        s.heap = list(self.heap)
+        return s
+
+    # -- bookkeeping -----------------------------------------------------
+
+    def twice_m(self) -> int:
+        return 2 * self.k + self.l - 2 * len(self.nice)
+
+    def _update_nice(self, v: int) -> None:
+        if (v in self.v1 and self.g.degree(v) == 3
+                and all(o in self.v2 for o in self.g.neighbors(v))):
+            self.nice.add(v)
+        else:
+            self.nice.discard(v)
+
+    def classify(self, v: int) -> int | None:
+        deg = self.g.degree(v)
+        if deg <= 1:
+            return _REMOVE
+        seen: set[int] = set()
+        for _, other in self.g.incident(v):
+            if other in self.v2:
+                r = self.dsu.find(other)
+                if r in seen:
+                    return _FORCE
+                seen.add(r)
+        if deg == 2:
+            return _BYPASS
+        return None
+
+    def push(self, v: int) -> None:
+        self._update_nice(v)
+        cls = self.classify(v)
+        if cls is not None:
+            heapq.heappush(self.heap, (cls, v))
+
+    def _union_trees(self, a: int, b: int) -> None:
+        ra, rb = self.dsu.find(a), self.dsu.find(b)
+        if ra == rb:
+            raise AssertionError("merge would close a cycle in g[v2]")
+        self.dsu.union(ra, rb)
+        new_root = self.dsu.find(ra)
+        old_root = rb if new_root == ra else ra
+        self.l -= 1
+        old_adj = self.root_adj.pop(old_root, set())
+        new_adj = self.root_adj.setdefault(new_root, set())
+        if len(old_adj) > len(new_adj):
+            old_adj, new_adj = new_adj, old_adj
+            self.root_adj[new_root] = new_adj
+        for x in old_adj:
+            if x in self.v1:  # stale members drop out lazily
+                new_adj.add(x)
+                self.push(x)
+
+    # -- transitions -------------------------------------------------------
+
+    def remove_v1(self, v: int, forced: bool) -> None:
+        incident = [(e, o) for e, o in self.g.incident(v)]
+        self.g.remove_vertex(v)
+        self.v1.discard(v)
+        self.nice.discard(v)
+        if forced:
+            self.k -= 1
+            self.picks.add(v)
+        for _, other in incident:
+            if other in self.v1:
+                self.push(other)
+
+    def move_to_v2(self, v: int) -> None:
+        self.v1.discard(v)
+        self.nice.discard(v)
+        self.v2.add(v)
+        self.dsu.add(v)
+        self.l += 1
+        self.root_adj.setdefault(v, set())
+        for _, other in list(self.g.incident(v)):
+            if other in self.v2 and other != v:
+                self._union_trees(v, other)
+            elif other in self.v1:
+                self.root_adj.setdefault(self.dsu.find(v), set()).add(other)
+                self.push(other)
+
+    def bypass(self, v: int) -> None:
+        incident = list(self.g.incident(v))
+        (_, a), (_, b) = incident
+        if a == b:
+            raise AssertionError("parallel pair must be forced, not bypassed")
+        bypass_degree2(self.g, v)
+        self.v1.discard(v)
+        self.nice.discard(v)
+        if a in self.v2 and b in self.v2:
+            self._union_trees(a, b)
+        elif a in self.v2:
+            self.root_adj.setdefault(self.dsu.find(a), set()).add(b)
+        elif b in self.v2:
+            self.root_adj.setdefault(self.dsu.find(b), set()).add(a)
+        if a in self.v1:
+            self.push(a)
+        if b in self.v1:
+            self.push(b)
+
+    def drain(self, audit: bool = False) -> bool:
+        """Apply steps 4-6 until quiescent; False once the budget is
+        overdrawn.  `audit` asserts that no step raises twice_m."""
+        heap = self.heap
+        while heap and self.k >= 0:
+            cls, v = heapq.heappop(heap)
+            if v not in self.v1 or not self.g.has_vertex(v):
                 continue
-            nbrs = [x for _, x in g.incident(v)]
-            g.remove_vertex(v)
-            inst.v1.discard(v)
-            inst.v2.discard(v)
-            nxt.extend(x for x in nbrs if g.has_vertex(x) and g.degree(x) <= 1)
-        queue = sorted(set(nxt))
-    return inst
+            actual = self.classify(v)
+            if actual is None:
+                self._update_nice(v)
+                continue
+            if actual != cls:
+                heapq.heappush(heap, (actual, v))
+                continue
+            before = self.twice_m() if audit else 0
+            if cls == _REMOVE:
+                self.remove_v1(v, forced=False)
+            elif cls == _FORCE:
+                self.remove_v1(v, forced=True)
+            else:
+                self.bypass(v)
+            if audit and self.twice_m() > before:
+                raise MeasureAuditError(
+                    f"step {cls} increased the measure at vertex {v}")
+        return self.k >= 0
 
+    def peel_protected(self) -> bool:
+        """Delete protected vertices of degree <= 1, cascading; True if any
+        went.  Safe for the answer, but not part of the branching drain: a
+        peel next to a nice vertex raises twice_m before the bypass that
+        follows lowers it again."""
+        queue = [v for v in self.v2 if self.g.degree(v) <= 1]
+        acted = bool(queue)
+        while queue:
+            v = queue.pop()
+            if v not in self.v2:
+                continue
+            nbrs = list(self.g.neighbors(v))
+            self.g.remove_vertex(v)
+            self.v2.discard(v)
+            if not any(o in self.v2 for o in nbrs):
+                self.l -= 1  # v was a whole tree
+            for o in nbrs:
+                if o in self.v1:
+                    self.push(o)
+                elif self.g.degree(o) <= 1:
+                    queue.append(o)
+        return acted
 
-def rule2(inst: DisjointInstance, v: int, mode: str = "kernel") -> ReductionOutcome:
-    """Handle a degree-2 vertex v of v1.
+    # -- audit -------------------------------------------------------------
 
-    If both neighbor slots of v land in one tree of g[v2], v closes a cycle
-    that no other v1 vertex can break, so it is forced.  Otherwise v is
-    harmless: kernel mode moves it into v2, branching mode bypasses it
-    (splicing its two edges into one, possibly creating a parallel pair).
-    """
-    if mode not in ("kernel", "branching"):
-        raise ValueError(f"unknown rule2 mode {mode!r}")
-    if v not in inst.v1 or inst.g.degree(v) != 2:
-        raise ValueError(f"vertex {v} is not a degree-2 v1 vertex")
-    forced: VertexSet = set()
-    comp = components(inst.g, inst.v2)
-    seen_trees: set[int] = set()
-    same_tree = False
-    for _, other in inst.g.incident(v):
-        if other in inst.v2:
-            t = comp.label[other]
-            if t in seen_trees:
-                same_tree = True
-            seen_trees.add(t)
-    if same_tree:
-        _force(inst, v, forced)
-        verdict = Verdict.NO_SOLUTION if inst.k < 0 else Verdict.CONTINUE
-        return ReductionOutcome(inst, forced, verdict)
-    if mode == "kernel":
-        inst.v1.discard(v)
-        inst.v2.add(v)
-    else:
-        bypass_degree2(inst.g, v)
-        inst.v1.discard(v)
-    return ReductionOutcome(inst, forced, Verdict.CONTINUE)
-
-
-def rules_applicable(inst: DisjointInstance) -> bool:
-    """True if rule1 or rule2 can act anywhere on the instance."""
-    g = inst.g
-    for v in g.vertices:
-        if g.degree(v) <= 1:
-            return True
-    return any(g.degree(v) == 2 for v in inst.v1)
-
-
-def kernel_bound(inst: DisjointInstance) -> Verdict:
-    """Reject a reduced instance whose v1 side exceeds 2k + l - tau,
-    where l and tau count the trees of g[v2] and g[v1].
-
-    Caller must have exhausted rules 1-2 first (checked).
-    """
-    if rules_applicable(inst):
-        raise ValueError("kernel bound requires rules 1-2 to be exhausted")
-    l = components(inst.g, inst.v2).count
-    tau = components(inst.g, inst.v1).count
-    if len(inst.v1) > 2 * inst.k + l - tau:
-        return Verdict.NO_SOLUTION
-    return Verdict.CONTINUE
-
-
-def reduce_instance(inst: DisjointInstance, mode: str = "kernel") -> ReductionOutcome:
-    """Run preprocess -> rule1 -> rule2 to a fixpoint.
-
-    Degree-2 v1 vertices are taken in ascending id order; a bypass can
-    create parallel edges, so preprocess re-runs after every rule2 action.
-    """
-    forced: VertexSet = set()
-    while True:
-        out = preprocess(inst)
-        forced |= out.forced
-        if out.verdict is Verdict.NO_SOLUTION:
-            return ReductionOutcome(inst, forced, Verdict.NO_SOLUTION)
-        before_n = inst.g.vertex_count
-        rule1(inst)
-        candidates = sorted(v for v in inst.v1 if inst.g.degree(v) == 2)
-        acted = inst.g.vertex_count != before_n
-        for v in candidates:
-            if v in inst.v1 and inst.g.has_vertex(v) and inst.g.degree(v) == 2:
-                out = rule2(inst, v, mode=mode)
-                forced |= out.forced
-                if out.verdict is Verdict.NO_SOLUTION:
-                    return ReductionOutcome(inst, forced, Verdict.NO_SOLUTION)
-                acted = True
-                break
-        if not acted:
-            return ReductionOutcome(inst, forced, Verdict.CONTINUE)
+    def verify(self) -> None:
+        """Recompute the maintained quantities from scratch (audit mode)."""
+        if not is_forest(self.g, self.v1):
+            raise MeasureAuditError("g[v1] lost the forest property")
+        if not is_forest(self.g, self.v2):
+            raise MeasureAuditError("g[v2] lost the forest property")
+        l = components(self.g, self.v2).count
+        if l != self.l:
+            raise MeasureAuditError(f"tree count drifted: {self.l} != {l}")
+        inst = DisjointInstance(self.g, self.v1, self.v2, max(self.k, -1),
+                                validate=False)
+        p = count_nice(inst)
+        if p != len(self.nice):
+            raise MeasureAuditError(f"nice count drifted: {len(self.nice)} != {p}")

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (Graph, VertexSet, betti, components, is_forest,
+from .graph import (Graph, VertexSet, betti, components, connected_without,
                     spanning_tree_containing)
-from .reductions import DisjointInstance, Verdict, preprocess, rule1, rule2
+from .reductions import DisjointInstance, ReductionState
 
 # Prime modulus for the randomized rank computations.  Small enough that
 # accumulating ~1000 products of two reduced residues stays inside int64.
@@ -58,11 +58,6 @@ class AdjacencyMatching:
 
     two_groups: list[tuple[int, int]]
     one_groups: list[int]
-
-
-def check_3regular(inst: DisjointInstance) -> bool:
-    """True iff every v1 vertex has total degree exactly 3 in g."""
-    return all(inst.g.degree(v) == 3 for v in inst.v1)
 
 
 def shrink_v2(inst: DisjointInstance) -> ShrunkenGraph:
@@ -262,16 +257,6 @@ def _pair_value(a_rows: np.ndarray, b_rows: np.ndarray, active: list[int],
     return best // 2
 
 
-def _connected_without(g: Graph, removed: set[int]) -> bool:
-    from .graph import DisjointSet
-    dsu = DisjointSet(g.vertices)
-    parts = g.vertex_count
-    for eid, (u, v) in g.edge_items():
-        if eid not in removed and u != v and dsu.union(u, v):
-            parts -= 1
-    return parts == 1
-
-
 def matroid_parity(ps: PairedSubdivision, seed: int = 0) -> list[tuple[int, int]]:
     """Maximum-cardinality set of segment pairs whose removal keeps g2
     connected.
@@ -304,7 +289,7 @@ def matroid_parity(ps: PairedSubdivision, seed: int = 0) -> list[tuple[int, int]
                 if _pair_value(a_rows, b_rows, trial, rng) == target:
                     chosen = trial
         removed = {e for i in chosen for e in pairs[i]}
-        if len(chosen) == target and _connected_without(ps.g2, removed):
+        if len(chosen) == target and connected_without(ps.g2, removed):
             return [pairs[i] for i in chosen]
     raise RuntimeError("matroid parity backend failed to certify a solution")
 
@@ -374,60 +359,25 @@ def solve_regular3(inst: DisjointInstance, seed: int = 0) -> VertexSet | None:
     """Minimum v1-only feedback vertex set of a degree-3-on-v1 instance,
     or None when that minimum exceeds the budget.
 
-    First forces vertices that every solution must contain (self-loop or
-    parallel-pair endpoints, vertices with two edges into one v2-tree) and
-    peels/bypasses low-degree vertices, all of which preserves both the
-    3-regularity of the remainder and the exact optimum; then runs the
-    shrink/subdivide/parity pipeline per connected component.
+    First drains the safe rules (forcing vertices with two edges into one
+    protected tree, bypassing and deleting low-degree ones) and peels
+    protected vertices of degree <= 1, to a joint fixpoint; all of this
+    keeps every remaining v1 vertex at degree 3 and the optimum exact.
+    Then runs the shrink/subdivide/parity pipeline per connected component.
     """
-    if not check_3regular(inst):
+    inst.check()
+    if any(inst.g.degree(v) != 3 for v in inst.v1):
         raise ValueError("some v1 vertex does not have degree 3")
-    if not is_forest(inst.g, inst.v1) or not is_forest(inst.g, inst.v2):
-        raise ValueError("instance sides must induce forests")
-    budget = inst.k
-    work = inst.copy()
-    forced: VertexSet = set()
+    work = ReductionState.from_instance(inst)
     while True:
-        out = preprocess(work)
-        forced |= out.forced
-        if out.verdict is Verdict.NO_SOLUTION:
+        if not work.drain():
             return None
-        n_before = work.g.vertex_count
-        rule1(work)
-        acted = work.g.vertex_count != n_before
-        deg2 = sorted(v for v in work.v1 if work.g.degree(v) == 2)
-        if deg2:
-            out = rule2(work, deg2[0], mode="branching")
-            forced |= out.forced
-            if out.verdict is Verdict.NO_SOLUTION:
-                return None
-            continue
-        comp = components(work.g, work.v2)
-        violator = None
-        for v in sorted(work.v1):
-            seen: set[int] = set()
-            for _, other in work.g.incident(v):
-                if other in work.v2:
-                    c = comp.label[other]
-                    if c in seen:
-                        violator = v
-                        break
-                    seen.add(c)
-            if violator is not None:
-                break
-        if violator is not None:
-            work.g.remove_vertex(violator)
-            work.v1.discard(violator)
-            work.k -= 1
-            forced.add(violator)
-            continue
-        if not acted:
+        if not work.peel_protected():
             break
 
     assert all(work.g.degree(v) == 3 for v in work.v1)
-    result = set(forced)
-    if len(result) > budget:
-        return None
+    budget = inst.k
+    result = set(work.picks)
     if work.g.vertex_count == 0:
         return result
     if len(result) + (betti(work.g) + 1) // 2 > budget:

@@ -40,6 +40,13 @@ def cycle_graph(n: int) -> Graph:
     return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def five_edge_instance(k: int = 2) -> DisjointInstance:
+    """Two degree-3 vertices u, v joined to each other and to two isolated
+    protected vertices a, b: edges uv, ua, ub, va, vb."""
+    g = make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    return DisjointInstance(g, {1, 2}, {3, 4}, k)
+
+
 def random_multigraph(seed: int, n_max: int = 12, m_max: int = 24) -> Graph:
     """Seeded random graph; every third seed adds parallel edges."""
     rng = random.Random(f"multigraph:{seed}")

@@ -2,17 +2,13 @@ import math
 
 import pytest
 
-from fvskit.branching import SearchStats, count_nice, feedback, measure
+from fvskit.branching import SearchStats, feedback, measure
 from fvskit.graph import is_fvs
 from fvskit.oracle import brute_disjoint
-from fvskit.reductions import DisjointInstance
+from fvskit.reductions import DisjointInstance, count_nice
 
-from conftest import make_graph, random_disjoint_instance, spider_instance, triangle
-
-
-def five_edge_instance(k: int) -> DisjointInstance:
-    g = make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    return DisjointInstance(g, {1, 2}, {3, 4}, k)
+from conftest import (five_edge_instance, make_graph, random_disjoint_instance,
+                      spider_instance, triangle)
 
 
 def test_count_nice_all_nice():

@@ -1,11 +1,21 @@
+"""The safe rules, as drained by `ReductionState`.
+
+Rule 1 deletes a side-one vertex of degree <= 1 (and, on the degree-3
+leaf's path only, `peel_protected` deletes protected ones); rule 2 forces a
+side-one vertex with two edges into one protected tree and bypasses any
+other side-one vertex of degree 2.  The kernel bound is the branching
+search's rejection of a drained state with more than 2k + l - tau side-one
+vertices, l and tau counting the trees of g[v2] and g[v1].
+"""
+
 import pytest
 
 from fvskit.graph import components, is_forest
 from fvskit.oracle import brute_disjoint
-from fvskit.reductions import (DisjointInstance, Verdict, kernel_bound,
-                               preprocess, reduce_instance, rule1, rule2)
+from fvskit.reductions import DisjointInstance, ReductionState
 
-from conftest import make_graph, random_disjoint_instance, triangle
+from conftest import (five_edge_instance, make_graph, random_disjoint_instance,
+                      triangle)
 
 
 def _inst(g, v1, k):
@@ -13,136 +23,158 @@ def _inst(g, v1, k):
     return DisjointInstance(g, v1, set(g.vertices) - v1, k)
 
 
+def _drained(inst):
+    state = ReductionState.from_instance(inst)
+    return state, state.drain(audit=True)
+
+
+def _bound_rejects(state) -> bool:
+    l = components(state.g, state.v2).count
+    tau = components(state.g, state.v1).count
+    return len(state.v1) > 2 * state.k + l - tau
+
+
+def three_path_instance(k):
+    """A v1 path u-v-w; u and w see protected a and b, v sees a only.
+    The rules leave it alone; its minimum is 2."""
+    g = make_graph(5, [(0, 1), (1, 2),                  # u-v-w
+                       (0, 3), (0, 4), (1, 3),          # u: a, b; v: a
+                       (2, 3), (2, 4)])                 # w: a, b
+    return DisjointInstance(g, {1, 2, 3}, {4, 5}, k)
+
+
 def test_preprocess_parallel_pair_forces_v1_endpoint():
     g = make_graph(2, [(0, 1), (0, 1)])
-    inst = _inst(g, {1}, 1)
-    out = preprocess(inst)
-    assert out.forced == {1} and inst.k == 0
-    assert out.verdict is Verdict.CONTINUE
+    state, ok = _drained(_inst(g, {1}, 1))
+    assert ok and state.picks == {1} and state.k == 0
+    assert set(state.g.vertices) == {2}
 
 
 def test_preprocess_parallel_pair_inside_v2_is_fatal():
     g = make_graph(3, [(0, 1), (0, 1), (1, 2)])
-    inst = DisjointInstance(g, {3}, {1, 2}, 5, validate=False)
-    assert preprocess(inst).verdict is Verdict.NO_SOLUTION
+    with pytest.raises(ValueError):
+        _inst(g, {3}, 5)
+    with pytest.raises(ValueError):
+        ReductionState.from_instance(
+            DisjointInstance(g, {3}, {1, 2}, 5, validate=False))
+    with pytest.raises(ValueError):  # ... and inside v1
+        _inst(g, {1, 2}, 5)
 
 
 def test_preprocess_identity_on_simple_graph():
-    g = triangle()
-    inst = _inst(g, {1}, 1)
-    out = preprocess(inst)
-    assert out.forced == set() and g.edge_count == 3
-    assert out.verdict is Verdict.CONTINUE
+    inst = five_edge_instance(1)
+    state, ok = _drained(inst)
+    assert ok and state.picks == set() and state.k == 1
+    assert state.g.vertex_count == 4 and state.g.edge_count == 5
 
 
 def test_preprocess_self_loops():
     g = make_graph(2, [(0, 1)])
     g.add_edge(1, 1)
-    inst = DisjointInstance(g, {1}, {2}, 1, validate=False)
-    out = preprocess(inst)
-    assert out.forced == {1} and inst.k == 0
+    with pytest.raises(ValueError):
+        _inst(g, {1}, 1)
 
     g = make_graph(2, [(0, 1)])
     g.add_edge(2, 2)
-    inst = DisjointInstance(g, {1}, {2}, 5, validate=False)
-    assert preprocess(inst).verdict is Verdict.NO_SOLUTION
+    with pytest.raises(ValueError):
+        _inst(g, {1}, 5)
+    with pytest.raises(ValueError):
+        ReductionState.from_instance(
+            DisjointInstance(g, {1}, {2}, 5, validate=False))
+
+    # a cycle inside either side
+    with pytest.raises(ValueError):
+        DisjointInstance(triangle(), {1, 2, 3}, set(), 1)
+    with pytest.raises(ValueError):
+        DisjointInstance(triangle(), set(), {1, 2, 3}, 1)
+    with pytest.raises(ValueError):
+        ReductionState.from_instance(
+            DisjointInstance(triangle(), set(), {1, 2, 3}, 1, validate=False))
 
 
 def test_preprocess_exhausts_budget():
     g = make_graph(4, [(0, 1), (0, 1), (2, 3), (2, 3)])
-    inst = DisjointInstance(g, {1, 3}, {2, 4}, 1)
-    out = preprocess(inst)
-    assert out.verdict is Verdict.NO_SOLUTION
-    assert inst.k < 0
+    state, ok = _drained(DisjointInstance(g, {1, 3}, {2, 4}, 1))
+    assert not ok and state.k < 0
 
 
 def test_rule1_path_cascades_to_empty():
+    # a path inside v1 drains away leaf by leaf
     g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
-    inst = _inst(g, {1, 3}, 0)
-    rule1(inst)
-    assert g.vertex_count == 0 and not inst.v1 and not inst.v2
+    state, ok = _drained(_inst(g, {1, 2, 3, 4}, 0))
+    assert ok and state.g.vertex_count == 0 and not state.v1
+    # an alternating path: the drain deletes and bypasses side one, the
+    # peel takes the protected remainder
+    g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
+    state, ok = _drained(_inst(g, {1, 3}, 0))
+    assert ok and state.picks == set() and not state.v1
+    assert state.peel_protected()
+    assert state.g.vertex_count == 0 and not state.v2
+    assert state.l == 0
 
 
 def test_rule1_triangle_unchanged():
-    inst = _inst(triangle(), {1}, 0)
-    rule1(inst)
-    assert inst.g.vertex_count == 3
+    # no vertex of a cycle has degree <= 1: the peel leaves it alone and
+    # the drain's only action is to force the v1 vertex
+    state = ReductionState.from_instance(_inst(triangle(), {1}, 1))
+    assert not state.peel_protected()
+    assert state.g.vertex_count == 3 and state.g.edge_count == 3
+    assert state.drain(audit=True)
+    assert state.picks == {1} and set(state.g.vertices) == {2, 3}
 
 
 def test_rule1_pendant_trimmed():
-    g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
-    inst = _inst(g, {1, 3}, 0)
-    rule1(inst)
-    assert set(g.vertices) == {1, 2, 3, 4}
+    # the five-edge core plus a v1 pendant p at a and a protected pendant q
+    # at b
+    g = make_graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
+                       (4, 2), (5, 3)])
+    state, ok = _drained(DisjointInstance(g, {1, 2, 5}, {3, 4, 6}, 1))
+    assert ok and set(state.g.vertices) == {1, 2, 3, 4, 6}
+    assert state.peel_protected()
+    assert set(state.g.vertices) == {1, 2, 3, 4} and state.g.edge_count == 5
+    assert state.picks == set() and state.k == 1
+    state.verify()
 
 
 def test_rule2_same_tree_forces():
     # v adjacent twice into one v2 tree (via a path)
     g = make_graph(4, [(0, 1), (1, 2), (3, 0), (3, 2)])
-    inst = DisjointInstance(g, {4}, {1, 2, 3}, 1)
-    out = rule2(inst, 4)
-    assert out.forced == {4} and inst.k == 0
-
-
-def test_rule2_kernel_mode_moves_and_merges_trees():
-    g = make_graph(3, [(0, 1), (1, 2)])
-    inst = DisjointInstance(g, {2}, {1, 3}, 1)
-    assert components(g, inst.v2).count == 2
-    out = rule2(inst, 2, mode="kernel")
-    assert out.forced == set() and inst.v2 == {1, 2, 3}
-    assert components(g, inst.v2).count == 1
-    assert is_forest(g, inst.v2)
+    state, ok = _drained(DisjointInstance(g, {4}, {1, 2, 3}, 1))
+    assert ok and state.picks == {4} and state.k == 0
 
 
 def test_rule2_branching_mode_bypasses():
-    # v has one v1 neighbor and one v2 neighbor: bypass splices a new edge
+    # x sees protected a, c and side-one v; v sees x and protected b
+    g = make_graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+    state, ok = _drained(DisjointInstance(g, {1, 4}, {2, 3, 5}, 1))
+    assert ok and not state.g.has_vertex(4) and state.picks == set()
+    assert sorted(state.g.neighbors(1)) == [2, 3, 5]
+    # between two protected trees, the bypass merges them
     g = make_graph(3, [(0, 1), (1, 2)])
-    inst = DisjointInstance(g, {1, 2}, {3}, 1)
-    rule2(inst, 2, mode="branching")
-    assert not inst.g.has_vertex(2)
-    assert inst.g.edge_count == 1
-    u, v = inst.g.endpoints(next(iter(inst.g.edge_ids)))
+    state, ok = _drained(DisjointInstance(g, {2}, {1, 3}, 1))
+    assert ok and not state.v1 and state.l == 1
+    (u, v), = [state.g.endpoints(e) for e in state.g.edge_ids]
     assert {u, v} == {1, 3}
-
-
-def test_rule2_rejects_bad_vertex():
-    inst = _inst(triangle(), {1}, 1)
-    with pytest.raises(ValueError):
-        rule2(inst, 2)  # not in v1
-    g = make_graph(2, [(0, 1)])
-    inst = DisjointInstance(g, {1}, {2}, 1)
-    with pytest.raises(ValueError):
-        rule2(inst, 1)  # degree 1
+    state.verify()
 
 
 def test_kernel_bound_boundary_continues():
-    # Two degree-3 v1 vertices u, w; v2 = a path of four plus a shared
-    # singleton; rules are exhausted and |v1| == 2k + l - tau exactly.
-    g = make_graph(7, [(0, 1), (1, 2), (2, 3),          # path a-a'-b-b'
-                       (5, 0), (5, 1), (5, 4),          # u -> a, a', t
-                       (6, 2), (6, 3), (6, 4)])         # w -> b, b', t
-    inst = DisjointInstance(g, {6, 7}, {1, 2, 3, 4, 5}, 1)
-    l = components(g, inst.v2).count
-    tau = components(g, inst.v1).count
-    assert (l, tau) == (2, 2)
-    assert len(inst.v1) == 2 * inst.k + l - tau
-    assert kernel_bound(inst) is Verdict.CONTINUE
-
-
-def test_kernel_bound_requires_fixpoint():
-    g = make_graph(2, [(0, 1)])
-    inst = DisjointInstance(g, {1}, {2}, 0)
-    with pytest.raises(ValueError):
-        kernel_bound(inst)
+    # |v1| == 2k + l - tau exactly, and the rules leave the state alone
+    state, ok = _drained(three_path_instance(1))
+    assert ok and state.picks == set() and len(state.v1) == 3
+    l = components(state.g, state.v2).count
+    tau = components(state.g, state.v1).count
+    assert (l, tau) == (2, 1)
+    assert len(state.v1) == 2 * state.k + l - tau
+    assert not _bound_rejects(state)
 
 
 def test_kernel_bound_k0_rejection_matches_oracle():
     # Same shape as the boundary instance, but with no budget at all.
-    g = make_graph(7, [(0, 1), (1, 2), (2, 3),
-                       (5, 0), (5, 1), (5, 4),
-                       (6, 2), (6, 3), (6, 4)])
-    inst = DisjointInstance(g, {6, 7}, {1, 2, 3, 4, 5}, 0)
-    assert kernel_bound(inst) is Verdict.NO_SOLUTION
+    inst = three_path_instance(0)
+    state, ok = _drained(inst)
+    assert ok and state.picks == set()
+    assert _bound_rejects(state)
     assert brute_disjoint(inst) is None
 
 
@@ -153,34 +185,30 @@ def test_kernel_bound_never_contradicts_oracle_on_corpus():
         for k in (0, 1, max(0, len(v1) // 2)):
             orig = DisjointInstance(g.copy(), set(v1), set(v2), k)
             oracle_yes = brute_disjoint(orig) is not None
-            work = DisjointInstance(g.copy(), set(v1), set(v2), k)
-            out = reduce_instance(work, mode="kernel")
-            if out.verdict is Verdict.NO_SOLUTION:
+            state, ok = _drained(orig)
+            if not ok:
                 assert not oracle_yes
                 continue
-            if kernel_bound(work) is Verdict.NO_SOLUTION:
+            if _bound_rejects(state):
                 assert not oracle_yes
                 checked += 1
     assert checked > 0
 
 
-@pytest.mark.parametrize("mode", ["kernel", "branching"])
-def test_reduction_preserves_minimum(mode):
+def test_reduction_preserves_minimum():
     for seed in range(60):
         g, v1, v2 = random_disjoint_instance(seed, n_max=10)
         orig = DisjointInstance(g.copy(), set(v1), set(v2), len(v1))
         best = brute_disjoint(orig)
         assert best is not None
-        work = DisjointInstance(g.copy(), set(v1), set(v2), len(v1))
-        out = reduce_instance(work, mode=mode)
-        assert is_forest(work.g, work.v1) and is_forest(work.g, work.v2)
-        if out.verdict is Verdict.NO_SOLUTION:
-            continue  # budget |v1| never rejects; defensive
+        state, ok = _drained(orig)
+        assert ok  # budget |v1| never runs out
+        assert is_forest(state.g, state.v1) and is_forest(state.g, state.v2)
         reduced_best = brute_disjoint(
-            DisjointInstance(work.g.copy(), set(work.v1), set(work.v2),
-                             len(work.v1)))
+            DisjointInstance(state.g.copy(), set(state.v1), set(state.v2),
+                             len(state.v1)))
         assert reduced_best is not None
-        assert len(best) == len(out.forced) + len(reduced_best)
+        assert len(best) == len(state.picks) + len(reduced_best)
 
 
 def test_reduction_yes_instances_fit_kernel_bound():
@@ -189,12 +217,11 @@ def test_reduction_yes_instances_fit_kernel_bound():
         orig = DisjointInstance(g.copy(), set(v1), set(v2), len(v1))
         best = brute_disjoint(orig)
         k = len(best)
-        work = DisjointInstance(g.copy(), set(v1), set(v2), k)
-        out = reduce_instance(work, mode="kernel")
-        if out.verdict is Verdict.NO_SOLUTION:
+        state, ok = _drained(DisjointInstance(g.copy(), set(v1), set(v2), k))
+        if not ok:
             pytest.fail("reduction rejected a yes-instance")
-        l = components(work.g, work.v2).count
-        tau = components(work.g, work.v1).count
-        assert len(work.v1) <= 2 * work.k + l - tau
-        if l <= work.k + 1 and tau >= 1:
-            assert len(work.v1) <= 3 * work.k
+        l = components(state.g, state.v2).count
+        tau = components(state.g, state.v1).count
+        assert len(state.v1) <= 2 * state.k + l - tau
+        if l <= state.k + 1 and tau >= 1:
+            assert len(state.v1) <= 3 * state.k

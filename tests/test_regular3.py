@@ -3,27 +3,10 @@ import pytest
 from fvskit.graph import betti, components, is_fvs
 from fvskit.oracle import brute_disjoint, brute_mu, brute_parity
 from fvskit.reductions import DisjointInstance
-from fvskit.regular3 import (check_3regular, fvs_from_matching, matroid_parity,
-                             shrink_v2, solve_regular3, subdivide,
-                             tree_from_parity)
+from fvskit.regular3 import (fvs_from_matching, matroid_parity, shrink_v2,
+                             solve_regular3, subdivide, tree_from_parity)
 
-from conftest import make_graph, random_regular3_instance
-
-
-def five_edge_instance(k: int = 2) -> DisjointInstance:
-    """Two degree-3 vertices u, v joined to each other and to two isolated
-    protected vertices a, b: edges uv, ua, ub, va, vb."""
-    g = make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    return DisjointInstance(g, {1, 2}, {3, 4}, k)
-
-
-def test_check_3regular():
-    inst = five_edge_instance()
-    assert check_3regular(inst)
-    g = make_graph(3, [(0, 1), (1, 2)])
-    assert not check_3regular(DisjointInstance(g, {2}, {1, 3}, 0))
-    g = make_graph(2, [(0, 1)])
-    assert check_3regular(DisjointInstance(g, set(), {1, 2}, 0))
+from conftest import five_edge_instance, make_graph, random_regular3_instance
 
 
 def test_shrink_rejects_double_edges_into_one_tree():
@@ -275,6 +258,60 @@ def test_solve_regular3_rejects_non_regular():
     g = make_graph(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
         solve_regular3(DisjointInstance(g, {2}, {1, 3}, 1))
+    # a v1 vertex of degree 4 is refused as well
+    g = make_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    with pytest.raises(ValueError):
+        solve_regular3(DisjointInstance(g, {1}, {2, 3, 4, 5}, 1))
+    # an unvalidated instance whose protected side has a cycle is refused
+    g = make_graph(4, [(0, 1), (1, 2), (2, 0), (3, 0), (3, 1), (3, 2)])
+    with pytest.raises(ValueError):
+        solve_regular3(DisjointInstance(g, {4}, {1, 2, 3}, 1,
+                                        validate=False))
+    # no v1 vertex at all is vacuously degree 3
+    g = make_graph(2, [(0, 1)])
+    assert solve_regular3(DisjointInstance(g, set(), {1, 2}, 0)) == set()
+    assert solve_regular3(five_edge_instance(k=1)) is not None
+
+
+def _assert_exact_at_optimum(inst: DisjointInstance) -> None:
+    """solve_regular3 finds an optimum at k = opt and answers NO at opt-1."""
+    best = brute_disjoint(DisjointInstance(inst.g.copy(), set(inst.v1),
+                                           set(inst.v2), len(inst.v1)))
+    assert best is not None
+    opt = len(best)
+    at_opt = DisjointInstance(inst.g.copy(), set(inst.v1), set(inst.v2), opt)
+    res = solve_regular3(at_opt)
+    assert res is not None and len(res) == opt
+    assert res <= inst.v1 and is_fvs(inst.g, res)
+    if opt:
+        below = DisjointInstance(inst.g.copy(), set(inst.v1), set(inst.v2),
+                                 opt - 1)
+        assert solve_regular3(below) is None
+        assert brute_disjoint(below) is None
+
+
+def test_solve_regular3_parallel_edge_into_v2():
+    # u has a parallel pair into a and a third edge to w; x is nice
+    g = make_graph(7, [(0, 1), (0, 1), (0, 2),          # u=1: a, a, w
+                       (2, 3), (2, 4),                  # w=3: u, b, c
+                       (5, 1), (5, 3), (5, 6)])         # x=6: a, b, d
+    _assert_exact_at_optimum(DisjointInstance(g, {1, 3, 6}, {2, 4, 5, 7}, 3))
+
+
+def test_solve_regular3_two_edges_into_one_tree():
+    # u reaches the protected path a-b-c at both ends
+    g = make_graph(7, [(1, 2), (2, 3),                  # path a-b-c
+                       (0, 1), (0, 3), (0, 4),          # u=1: a, c, w
+                       (4, 2), (4, 5),                  # w=5: u, b, d
+                       (6, 1), (6, 5), (6, 3)])         # x=7: a, d, c
+    _assert_exact_at_optimum(DisjointInstance(g, {1, 5, 7}, {2, 3, 4, 6}, 3))
+
+
+def test_solve_regular3_protected_pendant_leaves_degree_two():
+    # p hangs off u alone; without it u has degree 2 and is bypassed
+    g = make_graph(5, [(0, 1), (0, 2), (0, 4),          # u=1: v, a, p
+                       (1, 2), (1, 3)])                 # v=2: u, a, b
+    _assert_exact_at_optimum(DisjointInstance(g, {1, 2}, {3, 4, 5}, 2))
 
 
 def test_constructions_preserve_connectivity():
