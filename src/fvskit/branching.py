@@ -17,26 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import VertexSet, components, is_forest
-from .reductions import (DisjointInstance, MeasureAuditError, ReductionState,
-                         count_nice)
+from .reductions import DisjointInstance, MeasureAuditError, ReductionState
 from .regular3 import solve_regular3
 
 # Required twice-measure drop per child at each branching step.
 _BRANCH_DROPS = {7: (2, 2), 8: (3, 2), 9: (3, 3)}
-
-
-@dataclass(frozen=True)
-class Measure:
-    """The branching measure m = k + l/2 - p, stored as 2m exactly."""
-
-    twice_m: int
-    k: int
-    l: int
-    p: int
-
-    def __post_init__(self) -> None:
-        if self.twice_m != 2 * self.k + self.l - 2 * self.p:
-            raise ValueError("inconsistent measure components")
 
 
 @dataclass
@@ -47,12 +32,6 @@ class SearchStats:
     leaves: int = 0
     max_depth: int = 0
     forced_count: int = 0
-
-
-def measure(inst: DisjointInstance) -> Measure:
-    l = components(inst.g, inst.v2).count
-    p = count_nice(inst)
-    return Measure(2 * inst.k + l - 2 * p, inst.k, l, p)
 
 
 def _v1_degree(state: ReductionState, v: int) -> int:
@@ -146,8 +125,7 @@ def _search(state: ReductionState, stats: SearchStats, depth: int, audit: bool,
             stats.leaves += 1
             return None
         if len(state.nice) == len(state.v1):
-            inst = DisjointInstance(state.g, state.v1, state.v2, state.k,
-                                    validate=False)
+            inst = DisjointInstance(state.g, state.v1, state.v2, state.k)
             rest = solve_regular3(inst, seed=seed)
             stats.leaves += 1
             if rest is None:
@@ -212,6 +190,5 @@ def feedback(inst: DisjointInstance, stats: SearchStats | None = None, *,
     """
     if stats is None:
         stats = SearchStats()
-    inst.check()
     state = ReductionState.from_instance(inst)
     return _search(state, stats, 0, audit, seed)

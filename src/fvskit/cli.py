@@ -26,10 +26,14 @@ EXIT_USAGE = 2
 
 
 def _default_seed() -> int:
-    try:
-        return int(os.environ.get("FVSKIT_SEED", "0"))
-    except ValueError:
-        return 0
+    return int(os.environ.get("FVSKIT_SEED", "0"))
+
+
+def _budget(text: str) -> int:
+    k = int(text)
+    if k < 0:
+        raise argparse.ArgumentTypeError("must be nonnegative")
+    return k
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -40,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve the FVS problem on a graph file")
     solve.add_argument("file")
     group = solve.add_mutually_exclusive_group(required=True)
-    group.add_argument("-k", type=int, help="decision budget")
+    group.add_argument("-k", type=_budget, help="decision budget")
     group.add_argument("--min", action="store_true", help="find a minimum FVS")
     solve.add_argument("--stats", action="store_true")
     solve.add_argument("--seed", type=int, default=None)
@@ -48,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     disjoint = sub.add_parser(
         "disjoint", help="solve disjoint-FVS; the file must carry s records")
     disjoint.add_argument("file")
-    disjoint.add_argument("-k", type=int, required=True)
+    disjoint.add_argument("-k", type=_budget, required=True)
     disjoint.add_argument("--stats", action="store_true")
     disjoint.add_argument("--seed", type=int, default=None)
 
@@ -74,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run the solver over a directory of .gr files")
     bench.add_argument("dir")
     bench.add_argument("--csv", required=True)
-    bench.add_argument("-k", type=int, default=None,
+    bench.add_argument("-k", type=_budget, default=None,
                        help="decision mode (default: minimize)")
     bench.add_argument("--seed", type=int, default=None)
     return parser
@@ -96,9 +100,6 @@ def _cmd_solve(args) -> int:
     if args.min:
         result: VertexSet | None = solve_fvs_min(g, stats, seed=_seed_of(args))
     else:
-        if args.k < 0:
-            print("error: -k must be nonnegative", file=sys.stderr)
-            return EXIT_USAGE
         result = solve_fvs_decision(g, args.k, stats, seed=_seed_of(args))
     sys.stdout.write(write_solution(result))
     if args.stats:

@@ -41,7 +41,7 @@ def fvs_reduction(g: Graph, f_big: VertexSet, k: int,
             h = g.copy()
             for v in keep:
                 h.remove_vertex(v)
-            inst = DisjointInstance(h, set(v1_base), v2, j, validate=False)
+            inst = DisjointInstance(h, v1_base, v2, j)
             rest = feedback(inst, stats, audit=audit, seed=seed)
             if rest is not None:
                 return keep_set | rest

@@ -14,6 +14,8 @@ def gen_random(n: int, m: int, seed: int, simple: bool = True) -> Graph:
     Simple mode samples m distinct vertex pairs; multigraph mode draws
     pairs independently, so parallel edges can occur.
     """
+    if n < 0 or m < 0:
+        raise ValueError(f"n={n} and m={m} must be nonnegative")
     rng = random.Random(f"random:{n}:{m}:{seed}:{simple}")
     g = Graph()
     verts = g.add_vertices(n)

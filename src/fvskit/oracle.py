@@ -11,7 +11,8 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import DisjointSet, Graph, VertexSet, connected_without, is_fvs
+from .graph import (DisjointSet, Graph, VertexSet, components,
+                    connected_without, is_fvs)
 from .reductions import DisjointInstance
 
 
@@ -160,8 +161,7 @@ def brute_mu(inst: DisjointInstance,
         raise OracleBudgetExceeded(
             f"{g.vertex_count} vertices > n_max={budget.n_max}")
     deadline = _Deadline(budget.max_seconds)
-    from .graph import components as _components
-    comp = _components(g, set(g.vertices))
+    comp = components(g, set(g.vertices))
     total = 0
     for group in comp.groups():
         sub = g.induced_subgraph(group)

@@ -31,21 +31,20 @@ class MeasureAuditError(AssertionError):
 
 class DisjointInstance:
     """A graph, a bipartition (v1, v2) with both sides inducing forests,
-    and a budget k for a feedback vertex set drawn from v1 only.
+    and a budget k >= 0 for a feedback vertex set drawn from v1 only.
 
-    k may be -1 transiently, as a rejected state.
+    The constructor checks all of this, so a built instance is valid; the
+    solvers take it as given.
     """
 
     __slots__ = ("g", "v1", "v2", "k")
 
-    def __init__(self, g: Graph, v1: VertexSet, v2: VertexSet, k: int,
-                 validate: bool = True) -> None:
+    def __init__(self, g: Graph, v1: VertexSet, v2: VertexSet, k: int) -> None:
         self.g = g
         self.v1 = set(v1)
         self.v2 = set(v2)
         self.k = k
-        if validate:
-            self.check()
+        self.check()
 
     def check(self) -> None:
         verts = set(self.g.vertices)
@@ -55,33 +54,20 @@ class DisjointInstance:
             raise ValueError("g[v1] is not a forest")
         if not is_forest(self.g, self.v2):
             raise ValueError("g[v2] is not a forest")
-        if self.k < -1:
-            raise ValueError(f"budget k={self.k} out of range")
-
-    def copy(self) -> "DisjointInstance":
-        return DisjointInstance(self.g.copy(), set(self.v1), set(self.v2),
-                                self.k, validate=False)
+        if self.k < 0:
+            raise ValueError(f"budget k={self.k} is negative")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"DisjointInstance(n={self.g.vertex_count}, "
                 f"m={self.g.edge_count}, |v1|={len(self.v1)}, k={self.k})")
 
 
-def count_nice(inst: DisjointInstance) -> int:
-    """Number of v1 vertices of degree 3 whose neighbors are all in v2."""
-    g = inst.g
-    total = 0
-    for v in inst.v1:
-        if g.degree(v) == 3 and all(o in inst.v2 for o in g.neighbors(v)):
-            total += 1
-    return total
-
-
 class ReductionState:
     """A mutable copy of an instance plus incremental bookkeeping.
 
     `picks` holds the vertices forced into the solution so far; `k` is the
-    budget left after them.  `twice_m` is the branching potential
+    budget left after them, and -1 once the drain has overdrawn it (a
+    rejected state).  `twice_m` is the branching potential
     2k + l - 2p (budget, protected-tree count, nice-vertex count).
     """
 
@@ -134,9 +120,13 @@ class ReductionState:
     def twice_m(self) -> int:
         return 2 * self.k + self.l - 2 * len(self.nice)
 
+    def _is_nice(self, v: int) -> bool:
+        """v is on side one, of degree 3, with every neighbor protected."""
+        return (v in self.v1 and self.g.degree(v) == 3
+                and all(o in self.v2 for o in self.g.neighbors(v)))
+
     def _update_nice(self, v: int) -> None:
-        if (v in self.v1 and self.g.degree(v) == 3
-                and all(o in self.v2 for o in self.g.neighbors(v))):
+        if self._is_nice(v):
             self.nice.add(v)
         else:
             self.nice.discard(v)
@@ -288,8 +278,6 @@ class ReductionState:
         l = components(self.g, self.v2).count
         if l != self.l:
             raise MeasureAuditError(f"tree count drifted: {self.l} != {l}")
-        inst = DisjointInstance(self.g, self.v1, self.v2, max(self.k, -1),
-                                validate=False)
-        p = count_nice(inst)
+        p = sum(1 for v in self.v1 if self._is_nice(v))
         if p != len(self.nice):
             raise MeasureAuditError(f"nice count drifted: {len(self.nice)} != {p}")

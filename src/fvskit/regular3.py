@@ -175,30 +175,20 @@ def _cycle_space_vectors(g: Graph) -> tuple[dict[int, np.ndarray], int]:
         i = index[f]
         vec[f][i] = 1
         u, v = g.endpoints(f)
-        if u == v:
-            continue
-        # Close the cycle back from v to u through the tree; a tree edge gets
-        # +1 when traversed along its stored (tail, head) orientation.
+        # Close the cycle back from v to u through the tree, climbing the
+        # deeper end (u on a tie); a tree edge gets +1 when traversed along
+        # its stored (tail, head) orientation.
         a, b = u, v
-        while depth[a] > depth[b]:
-            t = parent_edge[a]
-            sign = 1 if g.endpoints(t) == (parent[a], a) else -1
-            vec[t][i] = (vec[t][i] + sign) % _PRIME
-            a = parent[a]
-        while depth[b] > depth[a]:
-            t = parent_edge[b]
-            sign = 1 if g.endpoints(t) == (b, parent[b]) else -1
-            vec[t][i] = (vec[t][i] + sign) % _PRIME
-            b = parent[b]
         while a != b:
-            t = parent_edge[a]
-            sign = 1 if g.endpoints(t) == (parent[a], a) else -1
+            if depth[a] >= depth[b]:
+                t = parent_edge[a]
+                sign = 1 if g.endpoints(t) == (parent[a], a) else -1
+                a = parent[a]
+            else:
+                t = parent_edge[b]
+                sign = 1 if g.endpoints(t) == (b, parent[b]) else -1
+                b = parent[b]
             vec[t][i] = (vec[t][i] + sign) % _PRIME
-            a = parent[a]
-            t = parent_edge[b]
-            sign = 1 if g.endpoints(t) == (b, parent[b]) else -1
-            vec[t][i] = (vec[t][i] + sign) % _PRIME
-            b = parent[b]
     return vec, rank
 
 
@@ -365,7 +355,6 @@ def solve_regular3(inst: DisjointInstance, seed: int = 0) -> VertexSet | None:
     keeps every remaining v1 vertex at degree 3 and the optimum exact.
     Then runs the shrink/subdivide/parity pipeline per connected component.
     """
-    inst.check()
     if any(inst.g.degree(v) != 3 for v in inst.v1):
         raise ValueError("some v1 vertex does not have degree 3")
     work = ReductionState.from_instance(inst)
@@ -387,8 +376,7 @@ def solve_regular3(inst: DisjointInstance, seed: int = 0) -> VertexSet | None:
         if betti(sub_g) == 0:
             continue
         v1c = work.v1 & group
-        sub = DisjointInstance(sub_g, v1c, work.v2 & group, len(v1c),
-                               validate=False)
+        sub = DisjointInstance(sub_g, v1c, work.v2 & group, len(v1c))
         sg = shrink_v2(sub)
         ps = subdivide(sg, v1c)
         chosen = matroid_parity(ps, seed=seed)

@@ -8,7 +8,7 @@ criterion.
 import math
 import time
 
-from fvskit.branching import SearchStats, feedback, measure
+from fvskit.branching import SearchStats, feedback
 from fvskit.cli import cli
 from fvskit.compression import fvs_reduction, solve_fvs_min
 from fvskit.fileio import parse_solution, serialize_graph
@@ -75,7 +75,8 @@ def test_criterion_3_regular3_identity():
     bad = []
     for seed in range(200):
         inst = random_regular3_instance(seed, n_max=14)
-        res = solve_regular3(inst.copy())
+        res = solve_regular3(
+            DisjointInstance(inst.g.copy(), inst.v1, inst.v2, inst.k))
         mu = brute_mu(inst)
         best = brute_disjoint(
             DisjointInstance(inst.g.copy(), set(inst.v1), set(inst.v2),
@@ -150,10 +151,10 @@ def test_criterion_6_leaf_bounds():
         g, v1, v2 = random_disjoint_instance(seed)
         for k in range(len(v1) + 1):
             inst = DisjointInstance(g.copy(), set(v1), set(v2), k)
-            m0 = measure(inst)
+            twice_m0 = ReductionState.from_instance(inst).twice_m()
             stats = SearchStats()
             feedback(inst, stats)
-            if stats.leaves > _leaf_cap(m0.twice_m):
+            if stats.leaves > _leaf_cap(twice_m0):
                 bad.append(("run", seed, k))
     # summed bound over compression calls
     reduction_runs = 0

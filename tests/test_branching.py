@@ -2,67 +2,77 @@ import math
 
 import pytest
 
-from fvskit.branching import SearchStats, feedback, measure
-from fvskit.graph import is_fvs
+from fvskit.branching import SearchStats, feedback
+from fvskit.graph import components, is_fvs
 from fvskit.oracle import brute_disjoint
-from fvskit.reductions import DisjointInstance, count_nice
+from fvskit.reductions import DisjointInstance, ReductionState
 
 from conftest import (five_edge_instance, make_graph, random_disjoint_instance,
                       spider_instance, triangle)
+
+
+def _engine_measure(inst):
+    """(2m, k, l, p) as the engine holds them for a fresh instance."""
+    s = ReductionState.from_instance(inst)
+    return s.twice_m(), s.k, s.l, len(s.nice)
+
+
+def _recount_measure(inst):
+    """(2m, k, l, p) recounted from scratch: protected trees by
+    `components`, nice vertices (degree 3, every neighbor protected) by an
+    inline test."""
+    g = inst.g
+    l = components(g, inst.v2).count
+    p = sum(1 for v in inst.v1
+            if g.degree(v) == 3 and all(o in inst.v2 for o in g.neighbors(v)))
+    return 2 * inst.k + l - 2 * p, inst.k, l, p
 
 
 def test_count_nice_all_nice():
     # two degree-3 vertices with all neighbors protected, distinct trees
     g = make_graph(8, [(2, 0), (3, 0), (4, 0), (5, 1), (6, 1), (7, 1)])
     inst = DisjointInstance(g, {1, 2}, {3, 4, 5, 6, 7, 8}, 0)
-    assert count_nice(inst) == 2
+    assert _engine_measure(inst)[3] == _recount_measure(inst)[3] == 2
 
 
 def test_count_nice_v1_neighbor_disqualifies():
     g = make_graph(5, [(0, 1), (0, 2), (0, 3), (1, 4)])
     inst = DisjointInstance(g, {1, 2}, {3, 4, 5}, 0)
-    assert count_nice(inst) == 0  # vertex 1 has v1 neighbor 2; 2 has degree 1
+    # vertex 1 has v1 neighbor 2; 2 has degree 1
+    assert _engine_measure(inst)[3] == _recount_measure(inst)[3] == 0
 
 
 def test_count_nice_five_edge():
-    assert count_nice(five_edge_instance(1)) == 0
+    inst = five_edge_instance(1)
+    assert _engine_measure(inst)[3] == _recount_measure(inst)[3] == 0
 
 
 def test_measure_five_edge():
-    m = measure(five_edge_instance(1))
-    assert (m.twice_m, m.k, m.l, m.p) == (4, 1, 2, 0)
+    inst = five_edge_instance(1)
+    assert _engine_measure(inst) == _recount_measure(inst) == (4, 1, 2, 0)
 
 
 def test_measure_trivial_forest():
     g = make_graph(2, [(0, 1)])
     inst = DisjointInstance(g, {1, 2}, set(), 0)
-    m = measure(inst)
-    assert m.twice_m == 0 and m.l == 0 and m.p == 0
+    assert _engine_measure(inst) == _recount_measure(inst) == (0, 0, 0, 0)
 
 
 def test_measure_rejection_region():
     # p > k + l/2 gives a negative potential
     g = make_graph(4, [(1, 0), (2, 0), (3, 0)])
     inst = DisjointInstance(g, {1}, {2, 3, 4}, 0)
-    m = measure(inst)
-    assert m.p == 1 and m.twice_m == 2 * 0 + 3 - 2 == 1
+    assert _engine_measure(inst) == _recount_measure(inst) == (1, 0, 3, 1)
     g2 = make_graph(8, [(2, 0), (3, 0), (4, 0), (5, 1), (6, 1), (7, 1)])
     inst2 = DisjointInstance(g2, {1, 2}, {3, 4, 5, 6, 7, 8}, 0)
     # here v2 trees overlap across the two nice vertices: l = 6, p = 2, k = 0
-    assert measure(inst2).twice_m == 2
+    assert _engine_measure(inst2) == _recount_measure(inst2) == (2, 0, 6, 2)
     # shrink l by merging the protected side into three trees
     g3 = make_graph(8, [(2, 0), (3, 0), (4, 0), (5, 1), (6, 1), (7, 1),
                         (2, 5), (3, 6), (4, 7)])
     inst3 = DisjointInstance(g3, {1, 2}, {3, 4, 5, 6, 7, 8}, 0)
-    m3 = measure(inst3)
-    assert m3.l == 3 and m3.p == 2
-    assert m3.twice_m == -1  # p > k + l/2
-
-
-def test_measure_validates_consistency():
-    from fvskit.branching import Measure
-    with pytest.raises(ValueError):
-        Measure(twice_m=5, k=1, l=1, p=1)
+    # p > k + l/2
+    assert _engine_measure(inst3) == _recount_measure(inst3) == (-1, 0, 3, 2)
 
 
 def test_feedback_c4_example():
@@ -81,8 +91,8 @@ def test_feedback_k0_with_cycle():
 
 
 def test_feedback_negative_budget():
-    inst = DisjointInstance(triangle(), {1}, {2, 3}, -1, validate=False)
-    assert feedback(inst) is None
+    with pytest.raises(ValueError):
+        DisjointInstance(triangle(), {1}, {2, 3}, -1)
 
 
 def test_feedback_does_not_mutate_input():
@@ -117,14 +127,14 @@ def test_feedback_decisions_match_oracle_with_audit():
         for k in range(len(v1) + 1):
             inst = DisjointInstance(g.copy(), set(v1), set(v2), k)
             stats = SearchStats()
-            m0 = measure(inst)
+            twice_m0 = ReductionState.from_instance(inst).twice_m()
             res = feedback(inst, stats, audit=True)
             expect = best_size is not None and best_size <= k
             assert (res is not None) == expect, (seed, k)
             if res is not None:
                 assert res <= v1 and len(res) <= k and is_fvs(g, res)
             # leaf bound at the root measure, clamped at exponent zero
-            bound = 2 ** max(0, math.ceil(m0.twice_m / 2))
+            bound = 2 ** max(0, math.ceil(twice_m0 / 2))
             assert stats.leaves <= bound, (seed, k)
             assert stats.leaves <= stats.branch_nodes + 1
 
@@ -177,6 +187,6 @@ def test_feedback_stats_accumulate_across_calls():
 
 
 def test_feedback_rejects_malformed_instance():
-    g = triangle()
+    # a side-one cycle is refused when the instance is built
     with pytest.raises(ValueError):
-        feedback(DisjointInstance(g, {1, 2, 3}, set(), 1, validate=False))
+        DisjointInstance(triangle(), {1, 2, 3}, set(), 1)

@@ -80,6 +80,18 @@ def test_disjoint_rejects_nonforest_protected_side(tmp_path, capsys):
     assert cli(["disjoint", str(path), "-k", "1"]) == 2
 
 
+def test_negative_budget_exit_2(tmp_path, capsys):
+    path = tmp_path / "inst.gr"
+    path.write_text("p fvs 4 4\n1 2\n2 3\n3 4\n4 1\ns 2\ns 4\n")
+    messages = []
+    for command in ("solve", "disjoint"):
+        assert cli([command, str(path), "-k", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        messages.append(captured.err.splitlines()[-1].split("error: ", 1)[1])
+    assert messages == ["argument -k: must be nonnegative"] * 2
+
+
 def test_verify_accepts_solver_output(triangle_file, tmp_path, capsys):
     cli(["solve", str(triangle_file), "--min"])
     sol = tmp_path / "sol.txt"
@@ -127,6 +139,19 @@ def test_gen_seed_env_default(tmp_path, monkeypatch, capsys):
     assert cli(["gen", "random", "-n", "6", "-m", "7", "--seed", "7"]) == 0
     by_flag = capsys.readouterr().out
     assert by_env == by_flag
+
+
+def test_gen_random_negative_size_exit_2(capsys):
+    assert cli(["gen", "random", "-n", "-2", "-m", "0"]) == 2
+    assert cli(["gen", "random", "-n", "3", "-m", "-1", "--multi"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_gen_seed_env_not_an_integer_exit_2(monkeypatch, capsys):
+    monkeypatch.setenv("FVSKIT_SEED", "seven")
+    assert cli(["gen", "random", "-n", "6", "-m", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "seven" in captured.err
 
 
 def test_bench_csv_schema(tmp_path):

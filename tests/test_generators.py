@@ -25,6 +25,14 @@ def test_gen_random_simple_limit():
     assert len(set(_edge_list(g))) == 10
 
 
+def test_gen_random_rejects_negative_sizes():
+    for simple in (True, False):
+        with pytest.raises(ValueError):
+            gen_random(-2, 0, seed=0, simple=simple)
+        with pytest.raises(ValueError):
+            gen_random(3, -1, seed=0, simple=simple)
+
+
 def test_gen_random_multigraph_mode():
     g = gen_random(4, 30, seed=1, simple=False)
     edges = _edge_list(g)

@@ -30,11 +30,11 @@ def test_brute_fvs_budget_refusal():
     assert brute_fvs(g, OracleBudget(n_max=15)) == set()
 
 
-def test_brute_disjoint_empty_v1_with_cycle():
+def test_brute_disjoint_triangle_one_v1_vertex():
     g = triangle()
-    for k in range(4):
-        inst = DisjointInstance(g, set(), {1, 2, 3}, k, validate=False)
-        assert brute_disjoint(inst) is None
+    assert brute_disjoint(DisjointInstance(g, {1}, {2, 3}, 0)) is None
+    for k in range(1, 4):
+        assert brute_disjoint(DisjointInstance(g, {1}, {2, 3}, k)) == {1}
 
 
 def test_brute_disjoint_c4_alternating():
@@ -103,7 +103,7 @@ def test_brute_parity_matches_production_backend():
 
 def test_brute_mu_acyclic_graph():
     g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
-    inst = DisjointInstance(g, {1}, {2, 3, 4}, 0, validate=False)
+    inst = DisjointInstance(g, {1}, {2, 3, 4}, 0)
     # g[v1] vertex 1 has degree 1; instance shape irrelevant: g is a tree
     assert brute_mu(inst) == 0
 

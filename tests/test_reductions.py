@@ -54,9 +54,11 @@ def test_preprocess_parallel_pair_inside_v2_is_fatal():
     g = make_graph(3, [(0, 1), (0, 1), (1, 2)])
     with pytest.raises(ValueError):
         _inst(g, {3}, 5)
+    # the engine refuses it too, when it is added after the instance is built
+    inst = DisjointInstance(make_graph(3, [(0, 1), (1, 2)]), {3}, {1, 2}, 5)
+    inst.g.add_edge(1, 2)
     with pytest.raises(ValueError):
-        ReductionState.from_instance(
-            DisjointInstance(g, {3}, {1, 2}, 5, validate=False))
+        ReductionState.from_instance(inst)
     with pytest.raises(ValueError):  # ... and inside v1
         _inst(g, {1, 2}, 5)
 
@@ -78,18 +80,21 @@ def test_preprocess_self_loops():
     g.add_edge(2, 2)
     with pytest.raises(ValueError):
         _inst(g, {1}, 5)
+    inst = DisjointInstance(make_graph(2, [(0, 1)]), {1}, {2}, 5)
+    inst.g.add_edge(2, 2)
     with pytest.raises(ValueError):
-        ReductionState.from_instance(
-            DisjointInstance(g, {1}, {2}, 5, validate=False))
+        ReductionState.from_instance(inst)
 
     # a cycle inside either side
     with pytest.raises(ValueError):
         DisjointInstance(triangle(), {1, 2, 3}, set(), 1)
     with pytest.raises(ValueError):
         DisjointInstance(triangle(), set(), {1, 2, 3}, 1)
+    inst = DisjointInstance(make_graph(3, [(0, 1), (1, 2)]), set(), {1, 2, 3},
+                            1)
+    inst.g.add_edge(3, 1)
     with pytest.raises(ValueError):
-        ReductionState.from_instance(
-            DisjointInstance(triangle(), set(), {1, 2, 3}, 1, validate=False))
+        ReductionState.from_instance(inst)
 
 
 def test_preprocess_exhausts_budget():

@@ -38,7 +38,7 @@ def test_shrink_star_when_v2_connected():
                        (2, 3), (2, 4), (3, 4)])     # v1 triangle? no - forest
     # v1 triangle would not be a forest; drop one edge
     g = make_graph(5, [(0, 1), (2, 0), (3, 0), (4, 1), (2, 3), (3, 4)])
-    inst = DisjointInstance(g, {3, 4, 5}, {1, 2}, 3, validate=True)
+    inst = DisjointInstance(g, {3, 4, 5}, {1, 2}, 3)
     sg = shrink_v2(inst)
     # the v2 path became one hub vertex with an edge to each v1 vertex
     hub = sg.comp_vertex[0]
@@ -141,7 +141,7 @@ def test_matroid_parity_matches_oracle_on_corpus():
 
 def shrink_v2_after_forcing(inst):
     """Force assumption violators, then shrink; None if nothing is left."""
-    work = inst.copy()
+    work = DisjointInstance(inst.g.copy(), inst.v1, inst.v2, inst.k)
     while True:
         comp = components(work.g, work.v2)
         violator = None
@@ -262,11 +262,10 @@ def test_solve_regular3_rejects_non_regular():
     g = make_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     with pytest.raises(ValueError):
         solve_regular3(DisjointInstance(g, {1}, {2, 3, 4, 5}, 1))
-    # an unvalidated instance whose protected side has a cycle is refused
+    # an instance whose protected side has a cycle cannot be built
     g = make_graph(4, [(0, 1), (1, 2), (2, 0), (3, 0), (3, 1), (3, 2)])
     with pytest.raises(ValueError):
-        solve_regular3(DisjointInstance(g, {4}, {1, 2, 3}, 1,
-                                        validate=False))
+        DisjointInstance(g, {4}, {1, 2, 3}, 1)
     # no v1 vertex at all is vacuously degree 3
     g = make_graph(2, [(0, 1)])
     assert solve_regular3(DisjointInstance(g, set(), {1, 2}, 0)) == set()
@@ -358,7 +357,8 @@ def test_parity_choice_feasible_in_original_graph():
 def test_solve_regular3_matches_oracle_identity():
     for seed in range(60):
         inst = random_regular3_instance(seed)
-        res = solve_regular3(inst.copy())
+        res = solve_regular3(
+            DisjointInstance(inst.g.copy(), inst.v1, inst.v2, inst.k))
         best = brute_disjoint(
             DisjointInstance(inst.g.copy(), set(inst.v1), set(inst.v2),
                              len(inst.v1)))
