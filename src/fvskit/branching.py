@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import VertexSet, components, is_forest
+from .graph import ComponentLabeling, VertexSet, components, is_forest
 from .reductions import DisjointInstance, MeasureAuditError, ReductionState
 from .regular3 import solve_regular3
 
@@ -62,29 +62,15 @@ def _find_step8(state: ReductionState) -> tuple[int, int] | None:
     return None
 
 
-def _find_step9(state: ReductionState) -> tuple[int, int]:
-    adj: dict[int, list[int]] = {v: [] for v in state.v1}
-    for v in state.v1:
-        adj[v] = [o for o in state.g.neighbors(v) if o in state.v1]
-    seen: set[int] = set()
-    best_tree: list[int] | None = None
-    for v in sorted(state.v1):
-        if v in seen:
-            continue
-        tree = []
-        stack = [v]
-        seen.add(v)
-        while stack:
-            x = stack.pop()
-            tree.append(x)
-            for o in adj[x]:
-                if o not in seen:
-                    seen.add(o)
-                    stack.append(o)
-        if len(tree) >= 3 and best_tree is None:
-            best_tree = tree
+def _find_step9(state: ReductionState,
+                tau: ComponentLabeling) -> tuple[int, int]:
+    """Branch pair in the first tree of g[v1] (by labeling order) with at
+    least three vertices: a deepest leaf and its parent."""
+    best_tree = next((t for t in tau.groups() if len(t) >= 3), None)
     if best_tree is None:
         raise AssertionError("no branchable tree left in g[v1]")
+    adj = {v: [o for o in state.g.neighbors(v) if o in state.v1]
+           for v in best_tree}
     internal = sorted(v for v in best_tree if len(adj[v]) >= 2)
     root = internal[0]
     depth = {root: 0}
@@ -133,8 +119,8 @@ def _search(state: ReductionState, stats: SearchStats, depth: int, audit: bool,
             return state.picks | rest
         # Reduced-size rejection: with steps 4-6 exhausted, more than
         # 2k + l - tau vertices on side one is hopeless.
-        tau = components(state.g, state.v1).count
-        if len(state.v1) > 2 * state.k + state.l - tau:
+        tau = components(state.g, state.v1)
+        if len(state.v1) > 2 * state.k + state.l - tau.count:
             stats.leaves += 1
             return None
 
@@ -155,7 +141,7 @@ def _search(state: ReductionState, stats: SearchStats, depth: int, audit: bool,
                 w, y = found8
                 step, forced, moved, also_moved = 8, y, y, w
             else:
-                w, w1 = _find_step9(state)
+                w, w1 = _find_step9(state, tau)
                 step, forced, moved, also_moved = 9, w, w, w1
 
         stats.branch_nodes += 1

@@ -94,6 +94,20 @@ def _print_stats(stats: SearchStats) -> None:
           file=sys.stderr)
 
 
+def _check_witness(g: Graph, result: VertexSet | None, k: int | None = None,
+                   v1: VertexSet | None = None) -> None:
+    """Refuse to report a witness that is not a feedback vertex set of g,
+    or (when given) exceeds k or leaves v1; a NO answer passes."""
+    if result is None:
+        return
+    ok = result <= g.vertices and is_fvs(g, result)
+    ok = ok and (k is None or len(result) <= k)
+    ok = ok and (v1 is None or result <= v1)
+    if not ok:
+        raise AssertionError(f"solver returned an invalid witness "
+                             f"{sorted(result)}")
+
+
 def _cmd_solve(args) -> int:
     g, _ = parse_graph(Path(args.file).read_text())
     stats = SearchStats()
@@ -101,6 +115,7 @@ def _cmd_solve(args) -> int:
         result: VertexSet | None = solve_fvs_min(g, stats, seed=_seed_of(args))
     else:
         result = solve_fvs_decision(g, args.k, stats, seed=_seed_of(args))
+    _check_witness(g, result, args.k)
     sys.stdout.write(write_solution(result))
     if args.stats:
         _print_stats(stats)
@@ -121,6 +136,7 @@ def _cmd_disjoint(args) -> int:
         return EXIT_USAGE
     stats = SearchStats()
     result = feedback(inst, stats, seed=_seed_of(args))
+    _check_witness(g, result, args.k, v1)
     sys.stdout.write(write_solution(result))
     if args.stats:
         _print_stats(stats)
@@ -220,6 +236,7 @@ def _cmd_bench(args) -> int:
             k = args.k
             result = solve_fvs_decision(g, k, stats, seed=_seed_of(args))
         elapsed_ms = round((time.perf_counter() - t0) * 1000.0, 3)
+        _check_witness(g, result, args.k)
         rows.append({
             "instance": path.name,
             "n": g.vertex_count,

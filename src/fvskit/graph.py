@@ -4,7 +4,7 @@ primitives shared by every solver module.
 Vertices and edges carry integer ids handed out by per-graph counters that
 never run backwards, so an id is never reused within one graph's lifetime
 even after deletions.  That keeps search traces replayable and lets derived
-structures (subdivisions, shrunken graphs) reference edges stably.
+structures (spanning trees, edge pairs) reference edges stably.
 """
 
 from __future__ import annotations

@@ -72,22 +72,27 @@ def brute_disjoint(inst: DisjointInstance,
     return None
 
 
-def brute_parity(ps, budget: OracleBudget | None = None) -> list[tuple[int, int]]:
-    """Maximum set of segment-edge pairs whose removal keeps g2 connected.
+def brute_parity(g: Graph, pairs: list[tuple[int, int]],
+                 budget: OracleBudget | None = None) -> list[tuple[int, int]]:
+    """Largest subset of `pairs` that uses no edge twice and whose joint
+    removal keeps the connected graph g connected.
 
-    Exhaustive over pair subsets, largest cardinality first.
+    This is the matroid-parity question the degree-3 solver asks of each
+    component, with pairs of edges meeting at a v1 vertex (see
+    `regular3.parity_pairs`).  Exhaustive over pair subsets, largest
+    cardinality first.
     """
     budget = budget or DEFAULT_BUDGET
-    pairs = list(ps.pairing)
+    pairs = list(pairs)
     if len(pairs) > budget.p_max:
         raise OracleBudgetExceeded(f"{len(pairs)} pairs > p_max={budget.p_max}")
-    if not connected_without(ps.g2, set()):
-        raise ValueError("g2 is disconnected")
+    if not connected_without(g, set()):
+        raise ValueError("g is disconnected")
     deadline = _Deadline(budget.max_seconds)
     for size in range(len(pairs), -1, -1):
         for combo in combinations(pairs, size):
             removed = {e for pair in combo for e in pair}
-            if connected_without(ps.g2, removed):
+            if len(removed) == 2 * size and connected_without(g, removed):
                 return list(combo)
         deadline.check()
     raise AssertionError("unreachable: the empty pair set is always feasible")

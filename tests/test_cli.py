@@ -191,3 +191,37 @@ def test_verify_accepts_solver_output_across_corpus(tmp_path, capsys):
         sol_path.write_text(capsys.readouterr().out)
         assert cli(["verify", str(graph_path), str(sol_path)]) == 0
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("solver, argv", [
+    ("solve_fvs_min", ["--min"]),
+    ("solve_fvs_decision", ["-k", "1"]),
+])
+def test_solve_refuses_an_invalid_witness(triangle_file, capsys, monkeypatch,
+                                          solver, argv):
+    monkeypatch.setattr(f"fvskit.cli.{solver}", lambda *a, **kw: set())
+    with pytest.raises(AssertionError):
+        cli(["solve", str(triangle_file), *argv])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("witness", [set(), {2}, {1, 3}])
+def test_disjoint_refuses_an_invalid_witness(tmp_path, capsys, monkeypatch,
+                                             witness):
+    # C4 with 2 and 4 protected, k = 1: {} leaves the cycle, {2} is
+    # protected, {1, 3} is over budget
+    path = tmp_path / "inst.gr"
+    path.write_text("p fvs 4 4\n1 2\n2 3\n3 4\n4 1\ns 2\ns 4\n")
+    monkeypatch.setattr("fvskit.cli.feedback", lambda *a, **kw: set(witness))
+    with pytest.raises(AssertionError):
+        cli(["disjoint", str(path), "-k", "1"])
+    assert capsys.readouterr().out == ""
+
+
+def test_bench_refuses_an_invalid_witness(tmp_path, capsys, monkeypatch):
+    (tmp_path / "triangle.gr").write_text(TRIANGLE)
+    out = tmp_path / "bench.csv"
+    monkeypatch.setattr("fvskit.cli.solve_fvs_min", lambda *a, **kw: set())
+    with pytest.raises(AssertionError):
+        cli(["bench", str(tmp_path), "--csv", str(out)])
+    assert capsys.readouterr().out == "" and not out.exists()

@@ -4,7 +4,7 @@ from fvskit.graph import Graph, betti
 from fvskit.oracle import (OracleBudget, OracleBudgetExceeded, brute_disjoint,
                            brute_fvs, brute_mu, brute_parity)
 from fvskit.reductions import DisjointInstance
-from fvskit.regular3 import matroid_parity, shrink_v2, subdivide
+from fvskit.regular3 import matroid_parity, parity_pairs, tree_from_parity
 
 from conftest import k4, make_graph, random_regular3_instance, triangle
 
@@ -64,41 +64,31 @@ def test_brute_disjoint_cross_oracle_identity():
 
 
 def test_brute_parity_tree():
-    from fvskit.regular3 import PairedSubdivision
     g = make_graph(3, [(0, 1), (1, 2)])
-    ps = PairedSubdivision(g, {1: 1, 2: 2}, [(1, 2)])
-    assert brute_parity(ps) == []
+    assert brute_parity(g, [(1, 2)]) == []
 
 
 def test_brute_parity_one_removable_pair():
     # chorded 4-cycle: removing the two opposite rim edges keeps the rest
     # connected through the chord
     g = make_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-    from fvskit.regular3 import PairedSubdivision
-    ps = PairedSubdivision(g, {}, [(1, 3)])
-    res = brute_parity(ps)
-    assert res == [(1, 3)]
+    assert brute_parity(g, [(1, 3)]) == [(1, 3)]
 
 
 def test_brute_parity_budget_refusal():
-    from fvskit.regular3 import PairedSubdivision
     g = make_graph(2, [(0, 1)])
-    ps = PairedSubdivision(g, {}, [(1, 1)] * 11)
     with pytest.raises(OracleBudgetExceeded):
-        brute_parity(ps)
+        brute_parity(g, [(1, 1)] * 11)
 
 
 def test_brute_parity_matches_production_backend():
     for seed in range(30):
         inst = random_regular3_instance(seed, v1_max=2, connected=True)
-        try:
-            sg = shrink_v2(inst)
-        except ValueError:
+        pairs = parity_pairs(inst.g, inst.v1)
+        if len(pairs) > 10:
             continue
-        ps = subdivide(sg, inst.v1)
-        if len(ps.pairing) > 10:
-            continue
-        assert len(brute_parity(ps)) == len(matroid_parity(ps, seed=seed))
+        assert (len(brute_parity(inst.g, pairs))
+                == len(matroid_parity(inst.g, pairs, seed=seed)))
 
 
 def test_brute_mu_acyclic_graph():
@@ -115,19 +105,14 @@ def test_brute_mu_five_edge_example():
 
 
 def test_brute_mu_at_least_any_single_tree():
-    from fvskit.regular3 import tree_from_parity
     for seed in range(10):
         inst = random_regular3_instance(seed, n_max=9, v1_max=2,
                                         connected=True)
-        try:
-            sg = shrink_v2(inst)
-        except ValueError:
+        pairs = parity_pairs(inst.g, inst.v1)
+        if len(pairs) > 10:
             continue
-        ps = subdivide(sg, inst.v1)
-        if len(ps.pairing) > 10:
-            continue
-        chosen = matroid_parity(ps, seed=seed)
-        _, matching = tree_from_parity(inst, sg, ps, chosen)
+        chosen = matroid_parity(inst.g, pairs, seed=seed)
+        _, matching = tree_from_parity(inst.g, inst.v1, inst.v2, chosen)
         assert brute_mu(inst) >= len(matching.two_groups)
 
 
