@@ -89,8 +89,12 @@ class ReductionState:
                 raise ValueError("protected side does not induce a forest")
             s.l -= 1
         s.root_adj = {}
+        side_one = DisjointSet(s.v1)  # the instance may be edited after check
         for eid, (u, v) in s.g.edge_items():
-            if u in s.v1 and v in s.v2:
+            if u in s.v1 and v in s.v1:
+                if u == v or not side_one.union(u, v):
+                    raise ValueError("side one does not induce a forest")
+            elif u in s.v1 and v in s.v2:
                 s.root_adj.setdefault(s.dsu.find(v), set()).add(u)
             elif v in s.v1 and u in s.v2:
                 s.root_adj.setdefault(s.dsu.find(u), set()).add(v)

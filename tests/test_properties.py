@@ -1,13 +1,17 @@
-"""Property tests of the degree-3 leaf against the brute-force oracles, on
-instances that Hypothesis draws structurally (derandomized, so a run
-replays exactly)."""
+"""Property tests of the full solvers and the degree-3 leaf against the
+brute-force oracles, on inputs that Hypothesis draws structurally
+(derandomized, so a run replays exactly).  networkx serves as a second,
+independent cycle checker for the full solvers' witnesses."""
 
-from hypothesis import given, settings
+import networkx as nx
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fvskit.compression import solve_fvs_decision, solve_fvs_min
 from fvskit.graph import Graph, betti, components, connected_without, is_fvs
-from fvskit.oracle import (DEFAULT_BUDGET, brute_disjoint, brute_mu,
-                           brute_parity)
+from fvskit.oracle import (DEFAULT_BUDGET, brute_disjoint, brute_fvs,
+                           brute_mu, brute_parity)
 from fvskit.reductions import DisjointInstance, ReductionState
 from fvskit.regular3 import matroid_parity, parity_pairs, solve_regular3
 
@@ -79,3 +83,76 @@ def test_matroid_parity_matches_brute_parity_per_component(inst):
         assert len(removed) == 2 * len(mine)
         assert connected_without(sub, removed)
         assert len(mine) == len(brute_parity(sub, pairs))
+
+
+def _pairs(draw, n: int, max_size: int) -> list[tuple[int, int]]:
+    """Index pairs in range(n), self-loops and repeats allowed."""
+    ends = st.integers(0, n - 1)
+    return draw(st.lists(st.tuples(ends, ends), max_size=max_size))
+
+
+@st.composite
+def multigraphs(draw) -> Graph:
+    """Up to 10 vertices and 16 edges, with self-loops and parallel edges;
+    the empty graph included."""
+    g = Graph()
+    vs = g.add_vertices(draw(st.integers(0, 10)))
+    for a, b in _pairs(draw, len(vs), 16) if vs else []:
+        g.add_edge(vs[a], vs[b])
+    return g
+
+
+@st.composite
+def cyclic_components(draw) -> Graph:
+    """Two or three components, each a cycle through its 1-4 vertices (a
+    self-loop or a parallel pair when short), up to two extra edges and
+    perhaps a pendant vertex."""
+    g = Graph()
+    for _ in range(draw(st.integers(2, 3))):
+        vs = g.add_vertices(draw(st.integers(1, 4)))
+        for i, v in enumerate(vs):
+            g.add_edge(v, vs[(i + 1) % len(vs)])
+        for a, b in _pairs(draw, len(vs), 2):
+            g.add_edge(vs[a], vs[b])
+        if draw(st.booleans()):
+            g.add_edge(vs[draw(st.integers(0, len(vs) - 1))], g.add_vertex())
+    return g
+
+
+def _nx_forest_after(g: Graph, removed: set[int]) -> bool:
+    h = nx.MultiGraph()
+    h.add_nodes_from(v for v in g.vertices if v not in removed)
+    h.add_edges_from((u, v) for _, (u, v) in g.edge_items()
+                     if u not in removed and v not in removed)
+    return h.number_of_nodes() == 0 or nx.is_forest(h)
+
+
+def _check_full_solvers(g: Graph) -> None:
+    opt = len(brute_fvs(g))
+    best = solve_fvs_min(g)
+    assert len(best) == opt and _nx_forest_after(g, best)
+    for k in (opt - 1, opt, opt + 1):
+        if k < 0:
+            continue
+        res = solve_fvs_decision(g, k)
+        if k < opt:
+            assert res is None
+        else:
+            assert res is not None and len(res) <= k
+            assert _nx_forest_after(g, res)
+    with pytest.raises(ValueError):
+        solve_fvs_decision(g, -1)
+
+
+@_SETTINGS
+@given(multigraphs())
+@example(Graph())
+def test_full_solvers_match_brute_fvs_on_multigraphs(g):
+    _check_full_solvers(g)
+
+
+@_SETTINGS
+@given(cyclic_components())
+def test_full_solvers_match_brute_fvs_on_disconnected_graphs(g):
+    assert components(g, set(g.vertices)).count >= 2
+    _check_full_solvers(g)

@@ -10,6 +10,7 @@ vertices, l and tau counting the trees of g[v2] and g[v1].
 
 import pytest
 
+from fvskit.branching import feedback
 from fvskit.graph import components, is_forest
 from fvskit.oracle import brute_disjoint
 from fvskit.reductions import DisjointInstance, ReductionState
@@ -95,6 +96,25 @@ def test_preprocess_self_loops():
     inst.g.add_edge(3, 1)
     with pytest.raises(ValueError):
         ReductionState.from_instance(inst)
+
+
+def test_edited_side_one_cycle_is_refused():
+    inst = _inst(make_graph(3, [(0, 1), (1, 2)]), {1, 2, 3}, 0)
+    inst.g.add_edge(3, 1)
+    with pytest.raises(ValueError, match="side one"):
+        feedback(inst)
+    # a parallel pair inside side one is the shortest such cycle
+    inst = _inst(make_graph(3, [(0, 1), (1, 2)]), {1, 2, 3}, 0)
+    inst.g.add_edge(2, 1)
+    with pytest.raises(ValueError, match="side one"):
+        ReductionState.from_instance(inst)
+
+
+def test_edited_side_one_self_loop_is_refused():
+    inst = _inst(make_graph(3, [(0, 1), (1, 2)]), {1, 2, 3}, 0)
+    inst.g.add_edge(2, 2)
+    with pytest.raises(ValueError, match="side one"):
+        feedback(inst)
 
 
 def test_preprocess_exhausts_budget():
